@@ -32,7 +32,7 @@ from .fingerprint import (
     lp_payoff,
     multimodal_radius,
 )
-from .fixed import FixedDecimal, HALF_PI, ONE, ZERO, fp_add, fp_div, fp_mul, fp_pow, fp_sub
+from .fixed import FixedDecimal, HALF_PI, ONE, ZERO, fp_add, fp_div, fp_mul, fp_sub
 from .hedge import HedgeSpec, hedge_payoff
 from .invariant import (
     CurveParams,
@@ -40,6 +40,7 @@ from .invariant import (
     invariant_residual,
     solve_ccmm_scale,
     solve_csemm_scale,
+    solve_shifted_scale,
 )
 from .polar import (
     angle_to_price,
@@ -51,13 +52,10 @@ from .polar import (
 from .poolfile import PoolFile, load, save
 from .swap import (
     SwapQuote,
-    ccmm_swap_exact_in,
-    ccmm_swap_exact_out,
-    csemm_swap_exact_in,
-    csemm_swap_exact_out,
     csemm_y_of_x,
-    ndim_pairwise_swap,
-    swap_exact_in,
+    effective_pair_circle,
+    other_reserve,
+    pair_swap,
 )
 from .ticks import (
     LpPosition,
@@ -129,7 +127,7 @@ def cmd_init(args) -> int:
     elif args.mode == "csemm":
         scale = solve_csemm_scale(params, reserves)
     else:
-        scale = _solve_shifted_scale(params, reserves)
+        scale = solve_shifted_scale(params, reserves)
 
     angle = None
     if n == 2 and params.mode == "ccmm":
@@ -152,34 +150,6 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
-def _solve_shifted_scale(params: CurveParams, reserves) -> FixedDecimal:
-    """Bisection on the shifted-ellipse residual, increasing in scale."""
-    from .invariant import shifted_ellipse_residual
-
-    x, y = reserves
-    lo = max(fp_div(x, params.l), fp_div(fp_div(y, params.c), params.l))
-    if lo <= ZERO:
-        raise ValidationError("on-curve construction needs positive reserves")
-    if shifted_ellipse_residual(params, x, y, lo) > ZERO:
-        raise ValidationError("reserves below the trading branch for any scale")
-    hi = fp_mul(max(lo, ONE), F(2))
-    for _ in range(80):
-        if shifted_ellipse_residual(params, x, y, hi) > ZERO:
-            break
-        hi = fp_mul(hi, F(2))
-    else:
-        raise NumericError("shifted scale bracket search failed")
-    for _ in range(140):
-        mid = F.from_raw((lo.raw + hi.raw) // 2)
-        if mid == lo or mid == hi:
-            break
-        if shifted_ellipse_residual(params, x, y, mid) > ZERO:
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
 # -- quote / swap -----------------------------------------------------------
 
 
@@ -198,27 +168,9 @@ def _route_quote(pool: PoolFile, args):
             raise ValidationError("--exact-out is a cartesian-route feature")
         if params.n != 2:
             raise ValidationError("--exact-out needs a two-token pool")
-        if params.mode == "ccmm":
-            fn = ccmm_swap_exact_in if j == 0 else ccmm_swap_exact_out
-        elif params.mode == "csemm":
-            fn = csemm_swap_exact_in if j == 0 else csemm_swap_exact_out
-        else:
-            raise ValidationError("no closed-form swap for shifted pools")
-        return fn(params, state, -amount), None
-
+        return pair_swap(params, state, j, -amount, i), None
     if args.route == "cartesian":
-        if params.mode == "csemm":
-            if params.n != 2:
-                raise ValidationError("superelliptical swaps are two-token only")
-            quote = swap_exact_in(params, state, i, amount)
-        elif params.mode == "ccmm":
-            if params.n == 2:
-                quote = swap_exact_in(params, state, i, amount)
-            else:
-                quote = ndim_pairwise_swap(params, state, i, j, amount)
-        else:
-            raise ValidationError("no closed-form swap for shifted pools")
-        return quote, None
+        return pair_swap(params, state, i, amount, j), None
     if args.route == "polar":
         return polar_swap_exact_in(params, state, i, amount, token_out=j), None
     # ticks
@@ -230,9 +182,8 @@ def _quote_payload(pool: PoolFile, args, quote: SwapQuote, tick_result) -> dict:
     payload = quote.to_dict()
     payload["route"] = args.route
     if args.route == "polar":
-        cart = swap_exact_in(pool.params, pool.state, quote.token_in, quote.amount_in) \
-            if pool.params.n == 2 else ndim_pairwise_swap(
-                pool.params, pool.state, quote.token_in, quote.token_out, quote.amount_in)
+        cart = pair_swap(pool.params, pool.state, quote.token_in, quote.amount_in,
+                         quote.token_out)
         diff = abs(fp_sub(quote.amount_out, cart.amount_out))
         payload["route_diff_vs_cartesian"] = str(diff)
     if tick_result is not None:
@@ -339,8 +290,6 @@ def cmd_gen_trades(args) -> int:
         i = rng.randrange(pool.params.n)
         j = (i + 1 + rng.randrange(pool.params.n - 1)) % pool.params.n
         # consume an integer percentage (1..30) of the remaining arc
-        from .swap import effective_pair_circle
-
         offset, radius = effective_pair_circle(pool.params, state, i, j)
         z = fp_div(fp_sub(offset, state.reserves[i]), radius)
         capacity = fp_mul(radius, z)  # input room down to the 90-degree end
@@ -399,11 +348,9 @@ def cmd_curve(args) -> int:
         for x in _sample_grid(x_lo, x_hi, args.samples):
             rows.append([str(x), str(csemm_y_of_x(params, x))])
     else:
+        unit = PoolState(reserves=(ZERO, ZERO))
         for x in _sample_grid(ZERO, params.l, args.samples):
-            bx = fp_sub(params.l, x)
-            inner = fp_sub(fp_pow(params.l, params.beta), fp_pow(bx, params.beta))
-            y_over_c = fp_sub(params.l, fp_pow(inner, fp_div(ONE, params.beta)))
-            rows.append([str(x), str(fp_mul(params.c, y_over_c))])
+            rows.append([str(x), str(other_reserve(params, unit, 0, 1, x))])
     _write_csv(rows, ["x", "y"], args.out)
     return EXIT_OK
 

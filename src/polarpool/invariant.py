@@ -70,6 +70,9 @@ class CurveParams:
     alphas: tuple[FixedDecimal, ...] | None = None
     beta: FixedDecimal = field(default_factory=lambda: TWO)
     c: FixedDecimal = field(default_factory=lambda: ONE)
+    #: eta of each alpha, computed once; derived, so not compared or shown
+    etas: tuple[FixedDecimal, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -86,6 +89,7 @@ class CurveParams:
                     raise ValidationError(
                         "alpha must be > 1 or < 0 (eta undefined on [0, 1])"
                     )
+            object.__setattr__(self, "etas", tuple(eta(a) for a in self.alphas))
         if self.mode == "shifted":
             if self.n != 2:
                 raise ValidationError("shifted-ellipse mode is two-token only")
@@ -93,11 +97,6 @@ class CurveParams:
                 raise ValidationError("beta must lie in (1, 2]")
             if self.c <= ZERO:
                 raise ValidationError("price peak c must be positive")
-
-    def etas(self) -> tuple[FixedDecimal, ...]:
-        if self.alphas is None:
-            raise ValidationError("no alphas on this curve")
-        return tuple(eta(a) for a in self.alphas)
 
 
 @dataclass(frozen=True)
@@ -139,14 +138,14 @@ def ccmm_residual(params: CurveParams, reserves, scale: FixedDecimal = ONE) -> F
 def csemm_residual(params: CurveParams, reserves, scale: FixedDecimal = ONE) -> FixedDecimal:
     """sum_i |x_i/(alpha_i*s) - 1|^eta(alpha_i) - 1."""
     reserves = tuple(reserves)
-    if params.alphas is None or len(params.alphas) != params.n:
+    if params.etas is None:
         raise ValidationError("csemm residual needs one alpha per token")
     if len(reserves) != params.n:
         raise ShapeError(f"expected {params.n} reserves, got {len(reserves)}")
     total = ZERO
-    for x, a in zip(reserves, params.alphas):
+    for x, a, e in zip(reserves, params.alphas, params.etas):
         u = fp_sub(fp_div(x, fp_mul(a, scale)), ONE)
-        total = fp_add(total, fp_pow(abs(u), eta(a)))
+        total = fp_add(total, fp_pow(abs(u), e))
     return fp_sub(total, ONE)
 
 
@@ -216,30 +215,14 @@ def solve_ccmm_scale(params: CurveParams, reserves) -> FixedDecimal:
     return fp_div(b, params.l)
 
 
-def solve_csemm_scale(params: CurveParams, reserves) -> FixedDecimal:
-    """Liquidity scale putting reserves on the superelliptical curve.
+def _bisect_scale(residual_at, lo: FixedDecimal) -> FixedDecimal:
+    """Largest grid scale whose residual is <= 0, searching up from ``lo``.
 
-    The residual is monotone increasing in the scale on the trading
-    branch, so a fixed 140-step bisection pins the root to the grid.
+    The residual must increase with the scale on the trading branch:
+    doubling brackets the root within 80 steps and a fixed 140-step
+    bisection pins it to the grid.
     """
-    reserves = tuple(reserves)
-    if params.alphas is None:
-        raise ValidationError("csemm scale needs alphas")
-    if len(reserves) != params.n:
-        raise ShapeError(f"expected {params.n} reserves, got {len(reserves)}")
-
-    lo = ZERO
-    for x, a in zip(reserves, params.alphas):
-        if a > ONE:
-            lo = max(lo, fp_div(x, a))
-    if lo.is_zero():
-        lo = FixedDecimal.from_raw(1)
-
-    def residual_at(s: FixedDecimal) -> FixedDecimal:
-        return csemm_residual(params, reserves, s)
-
-    f_lo = residual_at(lo)
-    if f_lo > ZERO:
+    if residual_at(lo) > ZERO:
         raise ValidationError("reserves below the trading branch for any scale")
     hi = fp_mul(max(lo, ONE), TWO)
     for _ in range(80):
@@ -247,7 +230,7 @@ def solve_csemm_scale(params: CurveParams, reserves) -> FixedDecimal:
             break
         hi = fp_mul(hi, TWO)
     else:
-        raise NumericError("csemm scale bracket search failed")
+        raise NumericError("scale bracket search failed")
     for _ in range(140):
         mid = FixedDecimal.from_raw((lo.raw + hi.raw) // 2)
         if mid == lo or mid == hi:
@@ -257,6 +240,31 @@ def solve_csemm_scale(params: CurveParams, reserves) -> FixedDecimal:
         else:
             lo = mid
     return lo
+
+
+def solve_csemm_scale(params: CurveParams, reserves) -> FixedDecimal:
+    """Liquidity scale putting reserves on the superelliptical curve."""
+    reserves = tuple(reserves)
+    if params.alphas is None:
+        raise ValidationError("csemm scale needs alphas")
+    if len(reserves) != params.n:
+        raise ShapeError(f"expected {params.n} reserves, got {len(reserves)}")
+    lo = ZERO
+    for x, a in zip(reserves, params.alphas):
+        if a > ONE:
+            lo = max(lo, fp_div(x, a))
+    if lo.is_zero():
+        lo = FixedDecimal.from_raw(1)
+    return _bisect_scale(lambda s: csemm_residual(params, reserves, s), lo)
+
+
+def solve_shifted_scale(params: CurveParams, reserves) -> FixedDecimal:
+    """Liquidity scale putting two reserves on the shifted ellipse."""
+    x, y = reserves
+    lo = max(fp_div(x, params.l), fp_div(fp_div(y, params.c), params.l))
+    if lo <= ZERO:
+        raise ValidationError("on-curve construction needs positive reserves")
+    return _bisect_scale(lambda s: shifted_ellipse_residual(params, x, y, s), lo)
 
 
 def invariant_residual(params: CurveParams, state: PoolState) -> FixedDecimal:
@@ -294,8 +302,7 @@ def spot_price(params: CurveParams, state: PoolState, token_in: int = 0,
         return fp_div(num, den)
     if params.mode == "csemm":
         def gradient(k: int) -> FixedDecimal:
-            a = params.alphas[k]
-            e = eta(a)
+            a, e = params.alphas[k], params.etas[k]
             u = fp_sub(fp_div(xs[k], fp_mul(a, s)), ONE)
             mag = fp_pow(abs(u), fp_sub(e, ONE))
             g = fp_div(fp_mul(e, mag), fp_mul(a, s))

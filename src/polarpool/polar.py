@@ -41,6 +41,7 @@ from .invariant import (
     ON_CURVE_TOLERANCE,
     PoolState,
     invariant_residual,
+    spot_price,
 )
 from .swap import SwapQuote, effective_pair_circle
 
@@ -188,16 +189,7 @@ def polar_swap_exact_in(params: CurveParams, state: PoolState, token_in: int,
     angle_new_rad = fp_acos(z)
     out_new = fp_sub(offset, fp_mul(radius, fp_sin(angle_new_rad)))
     amount_out = fp_sub(reserves[j], out_new)
-
-    def pair_price(xi, xj):
-        den = fp_sub(offset, xj)
-        if den.is_zero():
-            raise DomainError("price undefined at the axis point")
-        return fp_div(fp_sub(offset, xi), den)
-
-    price_before = pair_price(reserves[i], reserves[j])
     reserves[i], reserves[j] = in_new, out_new
-    price_after = pair_price(in_new, out_new)
     new_state = state.with_reserves(reserves)
     if abs(invariant_residual(params, new_state)) > ON_CURVE_TOLERANCE:
         raise RangeError("rotation left the curve beyond tolerance")
@@ -206,7 +198,7 @@ def polar_swap_exact_in(params: CurveParams, state: PoolState, token_in: int,
         token_out=j,
         amount_in=delta_in,
         amount_out=amount_out,
-        price_before=price_before,
-        price_after=price_after,
+        price_before=spot_price(params, state, i, j),
+        price_after=spot_price(params, new_state, i, j),
         new_reserves=tuple(reserves),
     )

@@ -1,5 +1,8 @@
 """Closed-form Cartesian swap execution.
 
+Every Cartesian trade is one call of :func:`pair_swap`: it moves one
+reserve, solves its partner from :func:`other_reserve` (the pair circle,
+the superellipse or the shifted ellipse), and holds every other reserve.
 Quotes are pure: they report amounts and the post-trade reserve vector
 without touching the pool, and a separate :func:`commit` applies them.
 Sign convention throughout: a positive delta adds tokens to that reserve,
@@ -22,7 +25,6 @@ from .errors import (
 from .fixed import (
     FixedDecimal,
     ONE,
-    TWO,
     ZERO,
     fp_add,
     fp_div,
@@ -35,7 +37,6 @@ from .invariant import (
     CurveParams,
     ON_CURVE_TOLERANCE,
     PoolState,
-    eta,
     invariant_residual,
     spot_price,
 )
@@ -77,240 +78,6 @@ def commit(state: PoolState, quote: SwapQuote) -> PoolState:
     return state.with_reserves(quote.new_reserves)
 
 
-def _check_two_tokens(params: CurveParams):
-    if params.n != 2:
-        raise ValidationError("closed-form swap needs a two-token pool")
-
-
-def ccmm_y_of_x(params: CurveParams, x: FixedDecimal,
-                scale: FixedDecimal = ONE) -> FixedDecimal:
-    """Lower-arc solution y = L - sqrt(2 L x - x^2) with L = l * scale."""
-    offset = fp_mul(params.l, scale)
-    if x < ZERO or x > offset:
-        raise DomainError("x outside the trading arc [0, l*scale]")
-    radicand = fp_sub(fp_mul(fp_mul(TWO, offset), x), fp_mul(x, x))
-    return fp_sub(offset, fp_sqrt(radicand))
-
-
-def _identity_quote(params, state, token_in, token_out):
-    price = spot_price(params, state, token_in, token_out)
-    return SwapQuote(
-        token_in=token_in,
-        token_out=token_out,
-        amount_in=ZERO,
-        amount_out=ZERO,
-        price_before=price,
-        price_after=price,
-        new_reserves=state.reserves,
-    )
-
-
-def _quote_from_pair(params, state, x_new, y_new, spot_fn):
-    """Build a normalized quote from old/new two-token reserves."""
-    x_old, y_old = state.reserves
-    dx = fp_sub(x_new, x_old)
-    dy = fp_sub(y_new, y_old)
-    if dx >= ZERO:
-        token_in, token_out = 0, 1
-        amount_in, amount_out = dx, -dy
-    else:
-        token_in, token_out = 1, 0
-        amount_in, amount_out = dy, -dx
-    new_state = state.with_reserves((x_new, y_new))
-    return SwapQuote(
-        token_in=token_in,
-        token_out=token_out,
-        amount_in=amount_in,
-        amount_out=amount_out,
-        price_before=spot_fn(state, token_in, token_out),
-        price_after=spot_fn(new_state, token_in, token_out),
-        new_reserves=(x_new, y_new),
-    )
-
-
-def _verify_on_curve(params: CurveParams, state: PoolState):
-    if abs(invariant_residual(params, state)) > ON_CURVE_TOLERANCE:
-        raise NumericError("swap left the curve beyond tolerance")
-
-
-def ccmm_swap_exact_in(params: CurveParams, state: PoolState,
-                       delta_x: FixedDecimal) -> SwapQuote:
-    """Swap on the circle given a signed change of the x reserve.
-
-    Positive delta_x sells x into the pool for y; negative delta_x removes
-    x, with the required y payment solved from the curve.
-    """
-    _check_two_tokens(params)
-    if delta_x.is_zero():
-        return _identity_quote(params, state, 0, 1)
-    x_old, _ = state.reserves
-    scale = state.liquidity_scale
-    offset = fp_mul(params.l, scale)
-    x_new = fp_add(x_old, delta_x)
-    if x_new < ZERO or x_new > offset:
-        raise InsufficientLiquidityError(
-            "insufficient liquidity: trade exits the circular arc"
-        )
-    y_new = ccmm_y_of_x(params, x_new, scale)
-    quote = _quote_from_pair(
-        params, state, x_new, y_new,
-        lambda st, i, j: spot_price(params, st, i, j),
-    )
-    _verify_on_curve(params, state.with_reserves(quote.new_reserves))
-    return quote
-
-
-def ccmm_swap_exact_out(params: CurveParams, state: PoolState,
-                        delta_y: FixedDecimal) -> SwapQuote:
-    """Swap on the circle given a signed change of the y reserve.
-
-    Negative delta_y takes |delta_y| of y out and solves the x paid in;
-    the circle's x(y) is the same radical as y(x) by symmetry.
-    """
-    _check_two_tokens(params)
-    if delta_y.is_zero():
-        return _identity_quote(params, state, 1, 0)
-    _, y_old = state.reserves
-    scale = state.liquidity_scale
-    offset = fp_mul(params.l, scale)
-    y_new = fp_add(y_old, delta_y)
-    if y_new < ZERO or y_new > offset:
-        raise InsufficientLiquidityError(
-            "insufficient liquidity: trade exits the circular arc"
-        )
-    x_new = ccmm_y_of_x(params, y_new, scale)
-    quote = _quote_from_pair(
-        params, state, x_new, y_new,
-        lambda st, i, j: spot_price(params, st, i, j),
-    )
-    _verify_on_curve(params, state.with_reserves(quote.new_reserves))
-    return quote
-
-
-def csemm_y_of_x(params: CurveParams, x: FixedDecimal,
-                 scale: FixedDecimal = ONE) -> FixedDecimal:
-    """Superellipse lower branch: y from x on the trading arc."""
-    _check_two_tokens(params)
-    a_x, a_y = params.alphas
-    x_unit = fp_div(x, scale)
-    if x_unit < ZERO:
-        raise DomainError("negative reserve")
-    if a_x > ONE and x_unit > a_x:
-        raise DomainError("x beyond the trading arc (negative price region)")
-    u = fp_sub(fp_div(x_unit, a_x), ONE)
-    t = fp_pow(abs(u), eta(a_x))
-    inner = fp_sub(ONE, t)
-    if inner < ZERO:
-        raise DomainError("off-curve request: |x/alpha - 1|^eta exceeds 1")
-    w = fp_pow(inner, fp_div(ONE, eta(a_y)))
-    y_unit = fp_mul(-a_y, fp_sub(w, ONE))
-    return fp_mul(y_unit, scale)
-
-
-def csemm_x_of_y(params: CurveParams, y: FixedDecimal,
-                 scale: FixedDecimal = ONE) -> FixedDecimal:
-    """Reversed-order branch solution: x from y.
-
-    Written exactly as the reversed swap function is printed, with the
-    outer coefficient alpha_y and inner divisor alpha_x; it inverts the
-    forward solution whenever alpha_x = alpha_y and is cross-validated
-    only there.
-    """
-    _check_two_tokens(params)
-    a_x, a_y = params.alphas
-    y_unit = fp_div(y, scale)
-    if y_unit < ZERO:
-        raise DomainError("negative reserve")
-    if a_x > ONE and y_unit > a_x:
-        raise DomainError("y beyond the trading arc (negative price region)")
-    u = fp_sub(fp_div(y_unit, a_x), ONE)
-    t = fp_pow(abs(u), eta(a_y))
-    inner = fp_sub(ONE, t)
-    if inner < ZERO:
-        raise DomainError("off-curve request: |y/alpha - 1|^eta exceeds 1")
-    w = fp_pow(inner, fp_div(ONE, eta(a_x)))
-    x_unit = fp_mul(-a_y, fp_sub(w, ONE))
-    return fp_mul(x_unit, scale)
-
-
-def csemm_swap_exact_in(params: CurveParams, state: PoolState,
-                        delta_x: FixedDecimal) -> SwapQuote:
-    """Superellipse swap given a signed change of the x reserve."""
-    _check_two_tokens(params)
-    if delta_x.is_zero():
-        return _identity_quote(params, state, 0, 1)
-    x_old, _ = state.reserves
-    x_new = fp_add(x_old, delta_x)
-    try:
-        y_new = csemm_y_of_x(params, x_new, state.liquidity_scale)
-    except DomainError as exc:
-        raise InsufficientLiquidityError(f"insufficient liquidity: {exc}") from None
-    quote = _quote_from_pair(
-        params, state, x_new, y_new,
-        lambda st, i, j: spot_price(params, st, i, j),
-    )
-    _verify_on_curve(params, state.with_reserves(quote.new_reserves))
-    return quote
-
-
-def csemm_swap_exact_out(params: CurveParams, state: PoolState,
-                         delta_y: FixedDecimal) -> SwapQuote:
-    """Superellipse swap given a signed change of the y reserve.
-
-    Negative delta_y is the exact-output request (take |delta_y| of y out,
-    pay the solved x in); positive delta_y pays y in for x out.
-    """
-    _check_two_tokens(params)
-    if delta_y.is_zero():
-        return _identity_quote(params, state, 1, 0)
-    _, y_old = state.reserves
-    y_new = fp_add(y_old, delta_y)
-    try:
-        x_new = csemm_x_of_y(params, y_new, state.liquidity_scale)
-    except DomainError as exc:
-        raise InsufficientLiquidityError(f"insufficient liquidity: {exc}") from None
-    quote = _quote_from_pair(
-        params, state, x_new, y_new,
-        lambda st, i, j: spot_price(params, st, i, j),
-    )
-    _verify_on_curve(params, state.with_reserves(quote.new_reserves))
-    return quote
-
-
-def swap_exact_in(params: CurveParams, state: PoolState, token_in: int,
-                  delta_in: FixedDecimal) -> SwapQuote:
-    """Sell ``delta_in`` of either token of a two-token pool.
-
-    Dispatches to the x-denominated formulas directly, or through the
-    pool's symmetry (circle) / the reversed-order solution (superellipse)
-    when the y reserve is the one paid in.
-    """
-    _check_two_tokens(params)
-    if delta_in < ZERO:
-        raise ValidationError("delta_in must be non-negative")
-    if token_in not in (0, 1):
-        raise ValidationError("bad token index")
-    if params.mode == "ccmm":
-        if token_in == 0:
-            return ccmm_swap_exact_in(params, state, delta_in)
-        mirrored = state.with_reserves((state.reserves[1], state.reserves[0]))
-        q = ccmm_swap_exact_in(params, mirrored, delta_in)
-        return SwapQuote(
-            token_in=1,
-            token_out=0,
-            amount_in=q.amount_in,
-            amount_out=q.amount_out,
-            price_before=q.price_before,
-            price_after=q.price_after,
-            new_reserves=(q.new_reserves[1], q.new_reserves[0]),
-        )
-    if params.mode == "csemm":
-        if token_in == 0:
-            return csemm_swap_exact_in(params, state, delta_in)
-        return csemm_swap_exact_out(params, state, delta_in)
-    raise ValidationError("shifted-ellipse pools trade through the tick route")
-
-
 def effective_pair_circle(params: CurveParams, state: PoolState, token_in: int,
                           token_out: int) -> tuple[FixedDecimal, FixedDecimal]:
     """Center offset and radius of the two-token reduction of an n-pool.
@@ -338,63 +105,111 @@ def effective_pair_circle(params: CurveParams, state: PoolState, token_in: int,
     return offset, fp_sqrt(r2)
 
 
-def _identity_quote_pair(state, i, j, offset):
-    den = fp_sub(offset, state.reserves[j])
-    price = fp_div(fp_sub(offset, state.reserves[i]), den)
-    return SwapQuote(
-        token_in=i,
-        token_out=j,
-        amount_in=ZERO,
-        amount_out=ZERO,
-        price_before=price,
-        price_after=price,
-        new_reserves=state.reserves,
-    )
+def other_reserve(params: CurveParams, state: PoolState, token: int, other: int,
+                  value: FixedDecimal) -> FixedDecimal:
+    """Reserve of ``other`` on the trading branch when ``token`` holds ``value``.
+
+    Every reserve but the two named ones is taken from ``state``, as is the
+    liquidity scale. Values off the trading branch raise DomainError.
+    """
+    s = state.liquidity_scale
+    if params.mode == "ccmm":
+        offset, radius = effective_pair_circle(params, state, token, other)
+        if value < ZERO or value > offset:
+            raise DomainError("reserve outside the circular arc")
+        d = fp_sub(value, offset)
+        radicand = fp_sub(fp_mul(radius, radius), fp_mul(d, d))
+        if radicand < ZERO:
+            raise DomainError("reserve outside the circular arc")
+        return fp_sub(offset, fp_sqrt(radicand))
+    if params.n != 2:
+        raise ValidationError("superelliptical swaps are two-token only")
+    if value < ZERO:
+        raise DomainError("negative reserve")
+    if params.mode == "csemm":
+        a_k, a_o = params.alphas[token], params.alphas[other]
+        unit = fp_div(value, s)
+        if a_k > ONE and unit > a_k:
+            raise DomainError("reserve beyond the trading arc (negative price region)")
+        t = fp_pow(abs(fp_sub(fp_div(unit, a_k), ONE)), params.etas[token])
+        inner = fp_sub(ONE, t)
+        if inner < ZERO:
+            raise DomainError("off-curve request: |x/alpha - 1|^eta exceeds 1")
+        w = fp_pow(inner, fp_div(ONE, params.etas[other]))
+        return fp_mul(fp_mul(-a_o, fp_sub(w, ONE)), s)
+    # shifted ellipse: (l - x/s)^beta + (l - y/(c*s))^beta = l^beta
+    l, beta = params.l, params.beta
+    unit = fp_div(value, s) if token == 0 else fp_div(fp_div(value, params.c), s)
+    if unit > l:
+        raise DomainError("reserve beyond the lower-left branch of the ellipse")
+    inner = fp_sub(fp_pow(l, beta), fp_pow(fp_sub(l, unit), beta))
+    other_unit = fp_mul(fp_sub(l, fp_pow(inner, fp_div(ONE, beta))), s)
+    return fp_mul(params.c, other_unit) if other == 1 else other_unit
 
 
-def ndim_pairwise_swap(params: CurveParams, state: PoolState, token_in: int,
-                       token_out: int, delta_in: FixedDecimal) -> SwapQuote:
-    """Swap one pair of an n-token circular pool, others held fixed."""
-    if params.mode != "ccmm":
-        raise ValidationError("pairwise reduction applies to circular pools")
-    if delta_in < ZERO:
-        raise ValidationError("delta_in must be non-negative")
-    i, j = token_in, token_out
-    offset, radius = effective_pair_circle(params, state, i, j)
-    if delta_in.is_zero():
-        return _identity_quote_pair(state, i, j, offset)
-    xs = list(state.reserves)
-    x_new = fp_add(xs[i], delta_in)
-    if x_new > offset:
-        raise InsufficientLiquidityError(
-            "insufficient liquidity: trade exits the pairwise arc"
+def ccmm_y_of_x(params: CurveParams, x: FixedDecimal,
+                scale: FixedDecimal = ONE) -> FixedDecimal:
+    """Lower-arc solution y = L - sqrt(L^2 - (x - L)^2) with L = l * scale."""
+    return other_reserve(params, PoolState((ZERO, ZERO), scale), 0, 1, x)
+
+
+def csemm_y_of_x(params: CurveParams, x: FixedDecimal,
+                 scale: FixedDecimal = ONE) -> FixedDecimal:
+    """Superellipse lower branch: y from x on the trading arc."""
+    return other_reserve(params, PoolState((ZERO, ZERO), scale), 0, 1, x)
+
+
+def _verify_on_curve(params: CurveParams, state: PoolState):
+    if abs(invariant_residual(params, state)) > ON_CURVE_TOLERANCE:
+        raise NumericError("swap left the curve beyond tolerance")
+
+
+def pair_swap(params: CurveParams, state: PoolState, token: int,
+              delta: FixedDecimal, other: int | None = None) -> SwapQuote:
+    """Trade one pair of reserves along the curve, all others held fixed.
+
+    ``delta`` is the signed change of reserve ``token``: positive sells
+    that token into the pool for ``other``, negative buys it out of the
+    pool and solves what ``other`` must pay. ``other`` defaults to the
+    second token of a two-token pool and is required when n > 2.
+    """
+    if other is None:
+        if params.n != 2:
+            raise ValidationError("partner token required for pools with n > 2")
+        other = 1 - token
+    if not (0 <= token < params.n and 0 <= other < params.n) or token == other:
+        raise ValidationError("bad token indices")
+    token_in, token_out = (token, other) if delta >= ZERO else (other, token)
+    if delta.is_zero():
+        price = spot_price(params, state, token_in, token_out)
+        return SwapQuote(
+            token_in=token_in,
+            token_out=token_out,
+            amount_in=ZERO,
+            amount_out=ZERO,
+            price_before=price,
+            price_after=price,
+            new_reserves=state.reserves,
         )
-    d = fp_sub(x_new, offset)
-    radicand = fp_sub(fp_mul(radius, radius), fp_mul(d, d))
-    if radicand < ZERO:
-        raise InsufficientLiquidityError(
-            "insufficient liquidity: trade exits the pairwise arc"
-        )
-    y_new = fp_sub(offset, fp_sqrt(radicand))
-    amount_out = fp_sub(xs[j], y_new)
-
-    def pair_price(xi, xj):
-        den = fp_sub(offset, xj)
-        if den.is_zero():
-            raise DomainError("price undefined at the axis point")
-        return fp_div(fp_sub(offset, xi), den)
-
-    price_before = pair_price(xs[i], xs[j])
-    xs[i], xs[j] = x_new, y_new
-    price_after = pair_price(x_new, y_new)
-    new_state = state.with_reserves(xs)
+    reserves = list(state.reserves)
+    value = fp_add(reserves[token], delta)
+    try:
+        partner = other_reserve(params, state, token, other, value)
+    except DomainError as exc:
+        raise InsufficientLiquidityError(f"insufficient liquidity: {exc}") from None
+    if delta > ZERO:
+        amount_in, amount_out = delta, fp_sub(reserves[other], partner)
+    else:
+        amount_in, amount_out = fp_sub(partner, reserves[other]), -delta
+    reserves[token], reserves[other] = value, partner
+    new_state = state.with_reserves(reserves)
     _verify_on_curve(params, new_state)
     return SwapQuote(
-        token_in=i,
-        token_out=j,
-        amount_in=delta_in,
+        token_in=token_in,
+        token_out=token_out,
+        amount_in=amount_in,
         amount_out=amount_out,
-        price_before=price_before,
-        price_after=price_after,
-        new_reserves=tuple(xs),
+        price_before=spot_price(params, state, token_in, token_out),
+        price_after=spot_price(params, new_state, token_in, token_out),
+        new_reserves=new_state.reserves,
     )

@@ -40,7 +40,7 @@ from polarpool.polar import (
     reserves_at_angle,
 )
 from polarpool.poolfile import load as load_pool
-from polarpool.swap import ccmm_swap_exact_in, ccmm_y_of_x, csemm_swap_exact_in, csemm_y_of_x, swap_exact_in
+from polarpool.swap import ccmm_y_of_x, csemm_y_of_x, pair_swap
 from polarpool.ticks import (
     LpPosition,
     TickGrid,
@@ -101,8 +101,8 @@ def test_c02_limit_case_recoveries():
         rng = random.Random(2024)
         for _ in range(100):
             delta = F.from_raw(rng.randrange(-9 * WAD // 10, 2 * WAD))
-            qs = csemm_swap_exact_in(as_circle, state, delta)
-            qc = ccmm_swap_exact_in(CIRCLE, state, delta)
+            qs = pair_swap(as_circle, state, 0, delta)
+            qc = pair_swap(CIRCLE, state, 0, delta)
             assert abs(qs.amount_out.raw - qc.amount_out.raw) <= 10 ** 6
         assert time.perf_counter() - t0 < 1.0
 
@@ -126,7 +126,7 @@ def test_c04_path_equivalence():
             room = fp_sub(L, state.reserves[token_in])
             delta = F.from_raw(rng.randrange(1, max(2, room.raw)))
             qp = polar_swap_exact_in(CIRCLE, state, token_in, delta)
-            qc = swap_exact_in(CIRCLE, state, token_in, delta)
+            qc = pair_swap(CIRCLE, state, token_in, delta)
             assert abs(qp.amount_out.raw - qc.amount_out.raw) <= 10 ** 9
         assert time.perf_counter() - t0 < 5.0
 

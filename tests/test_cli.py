@@ -109,6 +109,26 @@ class TestQuoteSwap:
         assert quote["amount_out"] == "0.25"
         assert quote["token_in"] == 0
 
+    def test_shifted_pool_trades(self, tmp_path, capsys):
+        pool_path = tmp_path / "s.json"
+        init_pool(capsys, pool_path, "--mode", "shifted", "--beta", "1.5",
+                  "--c", "0.647643292213304161")
+        code, out, err = run(
+            capsys, "quote", "--pool", str(pool_path),
+            "--token-in", "0", "--token-out", "1", "--amount", "0.1",
+        )
+        assert code == 0, err
+        assert F(json.loads(out)["amount_out"]) > F(0)
+        code, out, err = run(
+            capsys, "swap", "--pool", str(pool_path),
+            "--token-in", "1", "--token-out", "0", "--amount", "0.1",
+            "--exact-out",
+        )
+        assert code == 0, err
+        quote = json.loads(out)
+        assert quote["amount_out"] == "0.1"
+        assert quote["token_in"] == 1
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         pool_path = tmp_path / "p.json"
         init_pool(capsys, pool_path)

@@ -20,7 +20,7 @@ from polarpool.polar import (
     price_to_angle,
     reserves_at_angle,
 )
-from polarpool.swap import ccmm_swap_exact_in, ccmm_y_of_x, commit, swap_exact_in
+from polarpool.swap import ccmm_y_of_x, commit, pair_swap
 
 mpmath.mp.dps = 40
 
@@ -134,7 +134,7 @@ class TestAppendixRoutine:
         # without the 10000-fold scaling, the rotation from (1,1) equals
         # the closed-form swap to the last grid digits
         q_polar = polar_swap_exact_in(CIRCLE, UNIT_STATE, 0, ONE)
-        q_cart = ccmm_swap_exact_in(CIRCLE, UNIT_STATE, ONE)
+        q_cart = pair_swap(CIRCLE, UNIT_STATE, 0, ONE)
         assert abs(q_polar.amount_out.raw - q_cart.amount_out.raw) <= 10 ** 6
 
 
@@ -149,7 +149,7 @@ class TestPathEquivalence:
             room = fp_sub(CIRCLE.l, state.reserves[token_in])
             delta = F.from_raw(rng.randrange(1, max(2, room.raw)))
             qp = polar_swap_exact_in(CIRCLE, state, token_in, delta)
-            qc = swap_exact_in(CIRCLE, state, token_in, delta)
+            qc = pair_swap(CIRCLE, state, token_in, delta)
             assert abs(qp.amount_out.raw - qc.amount_out.raw) <= 10 ** 9  # 1e-9
 
     def test_rotation_preserves_radius(self):

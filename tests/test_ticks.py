@@ -16,7 +16,7 @@ from polarpool.errors import (
 from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sub
 from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
 from polarpool.polar import reserves_at_angle
-from polarpool.swap import ccmm_swap_exact_in
+from polarpool.swap import pair_swap
 from polarpool.ticks import (
     LpPosition,
     TickGrid,
@@ -228,7 +228,7 @@ class TestSwapAcrossTicks:
         x, y = reserves_at_angle(CIRCLE, F(45), F(5))
         state = PoolState(reserves=(x, y), liquidity_scale=F(5), angle_deg=F(45))
         result = swap_across_ticks(CIRCLE, ledger, state, 0, ONE)
-        direct = ccmm_swap_exact_in(CIRCLE, state, ONE)
+        direct = pair_swap(CIRCLE, state, 0, ONE)
         assert len(result.segments) == 1
         assert abs(result.quote.amount_out.raw - direct.amount_out.raw) <= 10 ** 6
 
@@ -313,7 +313,5 @@ class TestSwapAcrossTicks:
         ledger = add_position(ledger, LpPosition("base", F(0), F(90), scale))
         result = swap_across_ticks(params, ledger, state, 0, F("0.3"), token_out=1)
         # matches the closed-form pairwise swap
-        from polarpool.swap import ndim_pairwise_swap
-
-        direct = ndim_pairwise_swap(params, state, 0, 1, F("0.3"))
+        direct = pair_swap(params, state, 0, F("0.3"), 1)
         assert abs(result.quote.amount_out.raw - direct.amount_out.raw) <= 10 ** 9
