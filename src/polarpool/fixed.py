@@ -23,6 +23,7 @@ correct to the representation floor of one quantum.
 from __future__ import annotations
 
 from decimal import Context, Decimal, InvalidOperation, Overflow, ROUND_HALF_EVEN
+from functools import lru_cache
 
 from .errors import DomainError, RangeError
 
@@ -65,6 +66,8 @@ MAX_RAW = 10 ** (DECIMALS + 20)
 # intermediate error at least 20 digits below the output grid.
 _PREC = 42
 _CTX = Context(prec=_PREC, rounding=ROUND_HALF_EVEN, Emin=-425, Emax=425)
+# Working context of the inverse trigonometric functions.
+_TRIG_CTX = Context(prec=_PREC + 10, rounding=ROUND_HALF_EVEN, Emin=-999, Emax=999)
 _QUANTUM = Decimal(1).scaleb(-DECIMALS)
 
 # pi to 111 digits; enough guard digits to reduce any in-range angle.
@@ -343,6 +346,7 @@ def fp_pow(base: FixedDecimal, exponent: FixedDecimal) -> FixedDecimal:
 # -- trigonometry ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _pi(prec: int) -> Decimal:
     return Context(prec=prec).plus(Decimal(_PI_STR))
 
@@ -411,8 +415,9 @@ def fp_sin_cos(a: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
     return _from_dec(s), _from_dec(c)
 
 
-def _atan_dec(t: Decimal, ctx: Context) -> Decimal:
-    """arctan for a Decimal, any magnitude, in the given context."""
+def _atan_dec(t: Decimal) -> Decimal:
+    """arctan for a Decimal, any magnitude, in the inverse-trig context."""
+    ctx = _TRIG_CTX
     sign = -1 if t < 0 else 1
     t = abs(t)
     half_pi = ctx.divide(_pi(ctx.prec), Decimal(2))
@@ -446,14 +451,14 @@ def _atan_dec(t: Decimal, ctx: Context) -> Decimal:
 
 def fp_atan2(y: FixedDecimal, x: FixedDecimal) -> FixedDecimal:
     """Two-argument arctangent in radians, standard quadrant convention."""
-    ctx = Context(prec=_PREC + 10, rounding=ROUND_HALF_EVEN, Emin=-999, Emax=999)
+    ctx = _TRIG_CTX
     pi_d = _pi(ctx.prec)
     if x.raw == 0 and y.raw == 0:
         raise DomainError("atan2(0, 0) is undefined")
     if x.raw == 0:
         half = ctx.divide(pi_d, Decimal(2))
         return _from_dec(half if y.raw > 0 else -half)
-    base = _atan_dec(ctx.divide(_to_dec(y), _to_dec(x)), ctx)
+    base = _atan_dec(ctx.divide(_to_dec(y), _to_dec(x)))
     if x.raw > 0:
         return _from_dec(base)
     if y.raw >= 0:
@@ -465,20 +470,20 @@ def fp_asin(a: FixedDecimal) -> FixedDecimal:
     """Inverse sine in radians for |a| <= 1."""
     if abs(a.raw) > WAD:
         raise DomainError("asin argument outside [-1, 1]")
-    ctx = Context(prec=_PREC + 10, rounding=ROUND_HALF_EVEN, Emin=-999, Emax=999)
+    ctx = _TRIG_CTX
     d = _to_dec(a)
     if abs(a.raw) == WAD:
         half = ctx.divide(_pi(ctx.prec), Decimal(2))
         return _from_dec(half if a.raw > 0 else -half)
     root = ctx.sqrt(ctx.subtract(Decimal(1), ctx.multiply(d, d)))
-    return _from_dec(_atan_dec(ctx.divide(d, root), ctx))
+    return _from_dec(_atan_dec(ctx.divide(d, root)))
 
 
 def fp_acos(a: FixedDecimal) -> FixedDecimal:
     """Inverse cosine in radians for |a| <= 1."""
     if abs(a.raw) > WAD:
         raise DomainError("acos argument outside [-1, 1]")
-    ctx = Context(prec=_PREC + 10, rounding=ROUND_HALF_EVEN, Emin=-999, Emax=999)
+    ctx = _TRIG_CTX
     d = _to_dec(a)
     pi_d = _pi(ctx.prec)
     if a.raw == WAD:
@@ -486,7 +491,7 @@ def fp_acos(a: FixedDecimal) -> FixedDecimal:
     if a.raw == -WAD:
         return _from_dec(pi_d)
     root = ctx.sqrt(ctx.subtract(Decimal(1), ctx.multiply(d, d)))
-    base = _atan_dec(ctx.divide(root, d), ctx)
+    base = _atan_dec(ctx.divide(root, d))
     if a.raw < 0:
         base = ctx.add(base, pi_d)
     return _from_dec(base)

@@ -24,16 +24,14 @@ from .fixed import (
     ONE,
     ZERO,
     fp_atan2,
-    fp_cos,
     fp_div,
     fp_mul,
-    fp_sin,
     fp_sin_cos,
     fp_sub,
     fp_add,
 )
 from .invariant import CurveParams
-from .polar import NINETY, deg_to_rad, price_to_angle, rad_to_deg
+from .polar import NINETY, deg_to_rad, price_to_angle
 from .ticks import LpPosition, TickLedger, add_position
 
 F = FixedDecimal
@@ -78,20 +76,6 @@ class PayoffCurve:
         return [[str(p), str(v)] for p, v in self.samples]
 
 
-def _band_amounts(params: CurveParams, position: LpPosition):
-    """Full token holdings of a band once the price has crossed it.
-
-    x when the pool angle is above the band, y when below; per the arc
-    x(phi) = lam*l*(1 - cos phi), y(phi) = lam*l*(1 - sin phi).
-    """
-    lam_l = fp_mul(position.liquidity, params.l)
-    lo = deg_to_rad(position.lower_deg)
-    hi = deg_to_rad(position.upper_deg)
-    x_full = fp_mul(lam_l, fp_sub(fp_cos(lo), fp_cos(hi)))
-    y_full = fp_mul(lam_l, fp_sub(fp_sin(hi), fp_sin(lo)))
-    return x_full, y_full
-
-
 def position_value(params: CurveParams, position: LpPosition,
                    price: FixedDecimal) -> FixedDecimal:
     """Mark-to-price value of the claim a range position holds.
@@ -103,15 +87,7 @@ def position_value(params: CurveParams, position: LpPosition,
     """
     if price <= ZERO:
         raise DomainError("price must be positive")
-    arb_angle = rad_to_deg(fp_atan2(ONE, price))
-    clamped = min(max(arb_angle, position.lower_deg), position.upper_deg)
-    lam_l = fp_mul(position.liquidity, params.l)
-    lo = deg_to_rad(position.lower_deg)
-    hi = deg_to_rad(position.upper_deg)
-    at = deg_to_rad(clamped)
-    x_pos = fp_mul(lam_l, fp_sub(fp_cos(lo), fp_cos(at)))
-    y_pos = fp_mul(lam_l, fp_sub(fp_sin(hi), fp_sin(at)))
-    return fp_add(fp_mul(price, x_pos), y_pos)
+    return _LegMark(params, position).value(price, fp_atan2(ONE, price))
 
 
 def _aligned_strike_angle(grid, spec: HedgeSpec) -> FixedDecimal:
@@ -147,11 +123,11 @@ def hedge_legs(params: CurveParams, grid, spec: HedgeSpec) -> tuple[LpPosition, 
         upper_deg=long_hi,
         liquidity=spec.notional_liquidity,
     )
-    x_long, _ = _band_amounts(params, long_leg)
+    x_long, _ = _LegMark(params, long_leg).full_amounts()
     probe_short = LpPosition(
         id="probe", lower_deg=short_lo, upper_deg=short_hi, liquidity=ONE
     )
-    x_short_unit, _ = _band_amounts(params, probe_short)
+    x_short_unit, _ = _LegMark(params, probe_short).full_amounts()
     short_liquidity = fp_div(x_long, x_short_unit)
     short_leg = LpPosition(
         id=f"hedge:{spec.strike_price}:{spec.width_deg}:short",
@@ -181,6 +157,15 @@ class _LegMark:
         self.hi_rad = deg_to_rad(position.upper_deg)
         self.sin_lo, self.cos_lo = fp_sin_cos(self.lo_rad)
         self.sin_hi, self.cos_hi = fp_sin_cos(self.hi_rad)
+
+    def full_amounts(self) -> tuple[FixedDecimal, FixedDecimal]:
+        """Full token holdings of the band once the price has crossed it.
+
+        x when the pool angle is above the band, y when below; per the arc
+        x(phi) = lam*l*(1 - cos phi), y(phi) = lam*l*(1 - sin phi).
+        """
+        return (fp_mul(self.lam_l, fp_sub(self.cos_lo, self.cos_hi)),
+                fp_mul(self.lam_l, fp_sub(self.sin_hi, self.sin_lo)))
 
     def value(self, price: FixedDecimal, arb_rad: FixedDecimal) -> FixedDecimal:
         if arb_rad <= self.lo_rad:
@@ -213,14 +198,14 @@ def hedge_payoff(params: CurveParams, spec: HedgeSpec, price_grid,
         upper_deg=short_leg.upper_deg,
         liquidity=short_leg.liquidity,
     )
-    _, y_long = _band_amounts(params, long_leg)
-    _, y_short = _band_amounts(params, short_as_long)
+    long_mark = _LegMark(params, long_leg)
+    short_mark = _LegMark(params, short_as_long)
+    _, y_long = long_mark.full_amounts()
+    _, y_short = short_mark.full_amounts()
     no_depeg_level = fp_sub(y_long, y_short)
     scale = -no_depeg_level
     if scale <= ZERO:
         raise ValidationError("degenerate hedge: bands too narrow for the grid")
-    long_mark = _LegMark(params, long_leg)
-    short_mark = _LegMark(params, short_as_long)
     samples = []
     for price in price_grid:
         if price <= ZERO:

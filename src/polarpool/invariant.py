@@ -25,6 +25,7 @@ from .fixed import (
     ONE,
     SQRT2,
     TWO,
+    WAD,
     ZERO,
     fp_add,
     fp_div,
@@ -258,10 +259,17 @@ def solve_csemm_scale(params: CurveParams, reserves) -> FixedDecimal:
     return _bisect_scale(lambda s: csemm_residual(params, reserves, s), lo)
 
 
+def _div_up(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
+    """a / b rounded up to the grid, for b > 0."""
+    return FixedDecimal.from_raw(-(-a.raw * WAD // b.raw))
+
+
 def solve_shifted_scale(params: CurveParams, reserves) -> FixedDecimal:
     """Liquidity scale putting two reserves on the shifted ellipse."""
     x, y = reserves
-    lo = max(fp_div(x, params.l), fp_div(fp_div(y, params.c), params.l))
+    # round up, so that x/lo and y/(c*lo) stay within l exactly and the
+    # residual accepts lo as a point on the trading branch
+    lo = max(_div_up(x, params.l), _div_up(fp_div(y, params.c), params.l))
     if lo <= ZERO:
         raise ValidationError("on-curve construction needs positive reserves")
     return _bisect_scale(lambda s: shifted_ellipse_residual(params, x, y, s), lo)

@@ -2,21 +2,26 @@
 
 Liquidity lives on angle ranges: a position contributes its liquidity to
 the pool's scale at every angle in [lower, upper) (half-open, so a
-boundary belongs to the segment above it). Aggregate liquidity is kept as
-signed deltas at the range boundaries; since fixed-point addition is
-exact, the prefix sums match a brute-force sum over containing positions
-bit for bit, in any insertion order.
+boundary belongs to the segment above it). Each ledger indexes its
+aggregate liquidity once, on first use: the sorted boundary angles and
+the prefix sums of the signed deltas there, searched with bisect. Since
+fixed-point addition is exact, the prefix sums match a brute-force sum
+over containing positions bit for bit, in any insertion order.
 
 A swap that traverses several tick segments trades each segment on its
 own scaled circle: within a segment the scale is the active liquidity
 there, and at a boundary the virtual reserves re-anchor to the new
 circle at the same angle, which keeps the marginal price (cot of the
-angle) continuous across the crossing.
+angle) continuous across the crossing. The walk always moves the angle
+up: selling token 1 of a two-token pool is the same walk in the mirror
+angle 90 - phi, on the ledger's mirrored index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -139,38 +144,59 @@ class TickLedger:
     def to_list(self) -> list[dict]:
         return [p.to_dict() for p in self.positions]
 
+    @cached_property
+    def index(self) -> tuple[tuple[int, ...], tuple[FixedDecimal, ...]]:
+        """Sorted raw boundary angles and the aggregate liquidity from each up.
 
-def boundary_deltas(ledger: TickLedger) -> list[tuple[int, FixedDecimal]]:
-    """Sorted (raw boundary angle, signed liquidity change crossing up)."""
-    deltas: dict[int, FixedDecimal] = {}
-    for p in ledger.positions:
-        sign = ONE if p.side == "long" else -ONE
-        amt = fp_mul(sign, p.liquidity)
-        deltas[p.lower_deg.raw] = fp_add(deltas.get(p.lower_deg.raw, ZERO), amt)
-        deltas[p.upper_deg.raw] = fp_sub(deltas.get(p.upper_deg.raw, ZERO), amt)
-    return sorted((raw, d) for raw, d in deltas.items() if not d.is_zero())
+        Boundaries whose signed deltas cancel are left out. Built on first
+        use; not a field, so equality and the pool-file format ignore it.
+        """
+        deltas: dict[int, FixedDecimal] = {}
+        for p in self.positions:
+            amt = p.liquidity if p.side == "long" else -p.liquidity
+            deltas[p.lower_deg.raw] = fp_add(deltas.get(p.lower_deg.raw, ZERO), amt)
+            deltas[p.upper_deg.raw] = fp_sub(deltas.get(p.upper_deg.raw, ZERO), amt)
+        raws, totals, total = [], [], ZERO
+        for raw in sorted(deltas):
+            if not deltas[raw].is_zero():
+                total = fp_add(total, deltas[raw])
+                raws.append(raw)
+                totals.append(total)
+        return tuple(raws), tuple(totals)
+
+    @cached_property
+    def mirrored_index(self) -> tuple[tuple[int, ...], tuple[FixedDecimal, ...]]:
+        """The index seen from token 1, in the mirror angle 90 - phi.
+
+        A boundary at b moves to 90 - b, and the liquidity just above it
+        there is the canonical liquidity just below b: the same prefix
+        sums, reversed and shifted by one boundary.
+        """
+        raws, totals = self.index
+        below = ((ZERO,) + totals)[:-1]
+        return tuple(_NINETY_RAW - raw for raw in reversed(raws)), below[::-1]
+
+
+def _active(index, raw: int) -> FixedDecimal:
+    """Liquidity on the half-open segment of ``index`` holding ``raw``."""
+    raws, totals = index
+    k = bisect_right(raws, raw)
+    return totals[k - 1] if k else ZERO
 
 
 def active_liquidity(ledger: TickLedger, angle_deg: FixedDecimal) -> FixedDecimal:
     """Aggregate liquidity at an angle (sum over containing positions)."""
     if angle_deg < ZERO or angle_deg > NINETY:
         raise DomainError("angle outside [0, 90] degrees")
-    total = ZERO
-    for raw, delta in boundary_deltas(ledger):
-        if raw > angle_deg.raw:
-            break
-        total = fp_add(total, delta)
+    total = _active(ledger.index, angle_deg.raw)
     if total < ZERO:
         raise NumericError("negative aggregate liquidity in the ledger")
     return total
 
 
 def _check_aggregate_non_negative(ledger: TickLedger):
-    total = ZERO
-    for _, delta in boundary_deltas(ledger):
-        total = fp_add(total, delta)
-        if total < ZERO:
-            raise ValidationError("short liquidity exceeds long liquidity")
+    if any(total < ZERO for total in ledger.index[1]):
+        raise ValidationError("short liquidity exceeds long liquidity")
 
 
 def add_position(ledger: TickLedger, position: LpPosition, *,
@@ -253,13 +279,6 @@ class TickSwapResult:
     final_liquidity: FixedDecimal
 
 
-def _pair_geometry(params: CurveParams, state: PoolState, scale: FixedDecimal,
-                   i: int, j: int):
-    """Center offset and radius of the pair circle at the given scale."""
-    scaled = replace(state, liquidity_scale=scale)
-    return effective_pair_circle(params, scaled, i, j)
-
-
 def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
                       token_in: int, delta_in: FixedDecimal,
                       token_out: int | None = None) -> TickSwapResult:
@@ -283,189 +302,120 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
     if i == j or not (0 <= i < params.n) or not (0 <= j < params.n):
         raise ValidationError("bad token indices")
 
-    # canonical angle: in-token on the cosine axis, out-token on the sine
-    # axis; selling the in-token always moves the angle upward
-    if params.n == 2 and (i, j) == (1, 0):
-        canonical_flip = True
-    else:
-        canonical_flip = False
+    # trade orientation: the in-token on the cosine axis, the out-token on
+    # the sine axis, so selling always moves the angle up. Ledger angles
+    # are canonical (token 0 in); selling token 1 walks the mirror image.
+    mirrored = params.n == 2 and i == 1
+    index = ledger.mirrored_index if mirrored else ledger.index
+    raws = index[0]
+
+    def canonical(angle: FixedDecimal) -> FixedDecimal:
+        # the mirror is its own inverse, so this maps both ways
+        return fp_sub(NINETY, angle) if mirrored else angle
 
     reserves = list(state.reserves)
-    boundaries = boundary_deltas(ledger)
-
-    def active_at(raw_angle: int) -> FixedDecimal:
-        total = ZERO
-        for raw, delta in boundaries:
-            if raw > raw_angle:
-                break
-            total = fp_add(total, delta)
-        return total
-
-    # ledger angles are stated in canonical (token0) orientation; traversal
-    # runs in trade orientation where the angle increases, which is the
-    # mirrored angle when token 1 is sold
     if params.n == 2:
-        canonical = angle_of_state(params, state)
-        phi = fp_sub(NINETY, canonical) if canonical_flip else canonical
+        pair = None
+        phi = canonical(angle_of_state(params, state))
     else:
-        scale0 = active_at(0)
-        if not all(raw in (0, _NINETY_RAW) for raw, _ in boundaries):
+        # uniform ledgers have no boundary inside the arc, so the pair
+        # circle found at the start holds for the whole trade
+        if any(raw not in (0, _NINETY_RAW) for raw in raws):
             raise ValidationError(
                 "tick crossings are two-token only; n-dim pools need a uniform ledger"
             )
+        scale0 = _active(index, 0)
         if scale0 <= ZERO:
             raise InsufficientLiquidityError(
                 "ran out of liquidity: empty ledger",
                 filled_in=ZERO, filled_out=ZERO,
             )
-        offset0, radius0 = _pair_geometry(params, state, scale0, i, j)
-        z0 = fp_div(fp_sub(offset0, reserves[i]), radius0)
-        phi = rad_to_deg(fp_acos(z0))
+        pair = effective_pair_circle(
+            params, replace(state, liquidity_scale=scale0), i, j)
+        offset0, radius0 = pair
+        phi = rad_to_deg(fp_acos(fp_div(fp_sub(offset0, reserves[i]), radius0)))
 
+    start = phi
     remaining = delta_in
     filled_in = ZERO
     filled_out = ZERO
     segments: list[SegmentFill] = []
-    seg_index = 0
-
-    def ledger_raw(trade_angle: FixedDecimal) -> int:
-        # boundary angles in trade orientation
-        return (_NINETY_RAW - trade_angle.raw) if canonical_flip else trade_angle.raw
-
-    def boundaries_ahead(current: FixedDecimal):
-        """Boundary raw angles strictly above the current trade angle."""
-        raws = [raw for raw, _ in boundaries]
-        if canonical_flip:
-            converted = sorted(_NINETY_RAW - raw for raw in raws)
-        else:
-            converted = sorted(raws)
-        return [r for r in converted if r > current.raw]
-
-    # initial scale and pair geometry
-    def scale_for(trade_angle: FixedDecimal, *, side_above: bool) -> FixedDecimal:
-        # active liquidity uses half-open [lower, upper) in canonical space;
-        # in trade orientation pick the segment we are about to trade in
-        raw = ledger_raw(trade_angle)
-        if canonical_flip:
-            probe = raw - 1 if side_above else raw
-        else:
-            probe = raw if side_above else raw - 1
-        probe = min(max(probe, 0), _NINETY_RAW)
-        return active_at(probe)
-
-    while True:
-        scale = scale_for(phi, side_above=True)
+    crossing = True
+    while crossing:
+        if phi.raw >= _NINETY_RAW:
+            raise InsufficientLiquidityError(
+                "ran out of liquidity at the arc end",
+                filled_in=filled_in, filled_out=filled_out,
+                boundary_angle_deg=canonical(NINETY),
+            )
+        # a state committed a hair before the start of the walk, where a
+        # trade that exhausted the arc left it, trades on the first segment
+        scale = _active(index, max(phi.raw, 0))
         if scale <= ZERO:
             raise InsufficientLiquidityError(
                 "ran out of liquidity at a dead segment",
                 filled_in=filled_in, filled_out=filled_out,
-                boundary_angle_deg=phi if not canonical_flip else fp_sub(NINETY, phi),
+                boundary_angle_deg=canonical(phi),
             )
-        if params.n == 2:
-            offset = fp_mul(params.l, scale)
-            radius = offset
-        else:
-            offset, radius = _pair_geometry(params, state, scale, i, j)
+        radius = fp_mul(params.l, scale) if pair is None else pair[1]
 
-        ahead = boundaries_ahead(phi)
-        next_stop_raw = ahead[0] if ahead else _NINETY_RAW
-        next_stop = FixedDecimal.from_raw(min(next_stop_raw, _NINETY_RAW))
-
-        phi_rad = deg_to_rad(phi)
-        stop_rad = deg_to_rad(next_stop)
-        sin_phi, cos_phi = fp_sin_cos(phi_rad)
-        sin_stop, cos_stop = fp_sin_cos(stop_rad)
+        k = bisect_right(raws, phi.raw)
+        stop = FixedDecimal.from_raw(raws[k]) if k < len(raws) else NINETY
+        sin_phi, cos_phi = fp_sin_cos(deg_to_rad(phi))
+        sin_stop, cos_stop = fp_sin_cos(deg_to_rad(stop))
         capacity = fp_mul(radius, fp_sub(cos_phi, cos_stop))
 
-        if remaining <= capacity:
-            z_end = fp_sub(cos_phi, fp_div(remaining, radius))
-            phi_end_rad = fp_acos(z_end)
-            out = fp_mul(radius, fp_sub(fp_sin(phi_end_rad), sin_phi))
-            phi_end = rad_to_deg(phi_end_rad)
-            segments.append(SegmentFill(
-                index=seg_index,
-                angle_from_deg=phi if not canonical_flip else fp_sub(NINETY, phi),
-                angle_to_deg=phi_end if not canonical_flip else fp_sub(NINETY, phi_end),
-                liquidity=scale,
-                delta_in=remaining,
-                delta_out=out,
-            ))
-            filled_in = fp_add(filled_in, remaining)
-            filled_out = fp_add(filled_out, out)
-            phi = phi_end
-            remaining = ZERO
-            break
-
-        # consume the whole segment and cross
-        out = fp_mul(radius, fp_sub(sin_stop, sin_phi))
+        crossing = remaining > capacity
+        if crossing:
+            # consume the whole segment and cross
+            step, end, sin_end = capacity, stop, sin_stop
+        else:
+            end_rad = fp_acos(fp_sub(cos_phi, fp_div(remaining, radius)))
+            step, end, sin_end = remaining, rad_to_deg(end_rad), fp_sin(end_rad)
+        out = fp_mul(radius, fp_sub(sin_end, sin_phi))
         segments.append(SegmentFill(
-            index=seg_index,
-            angle_from_deg=phi if not canonical_flip else fp_sub(NINETY, phi),
-            angle_to_deg=next_stop if not canonical_flip else fp_sub(NINETY, next_stop),
+            index=len(segments),
+            angle_from_deg=canonical(phi),
+            angle_to_deg=canonical(end),
             liquidity=scale,
-            delta_in=capacity,
+            delta_in=step,
             delta_out=out,
         ))
-        filled_in = fp_add(filled_in, capacity)
+        filled_in = fp_add(filled_in, step)
         filled_out = fp_add(filled_out, out)
-        remaining = fp_sub(remaining, capacity)
-        phi = next_stop
-        seg_index += 1
-
-        if next_stop_raw >= _NINETY_RAW:
-            raise InsufficientLiquidityError(
-                "ran out of liquidity at the arc end",
-                filled_in=filled_in, filled_out=filled_out,
-                boundary_angle_deg=fp_sub(NINETY, phi) if canonical_flip else phi,
-            )
-        if params.n > 2:
-            raise ValidationError(
-                "tick crossings are two-token only; n-dim pools need a uniform ledger"
-            )
+        remaining = fp_sub(remaining, step)
+        phi = end
 
     # final state: virtual reserves at the final angle on the final circle
-    final_angle_trade = phi
-    final_angle_canonical = (
-        fp_sub(NINETY, final_angle_trade) if canonical_flip else final_angle_trade
-    )
-    final_scale = scale_for(final_angle_trade, side_above=True)
+    final_scale = _active(index, phi.raw)
     if final_scale <= ZERO:
         final_scale = scale  # landed exactly on the upper edge of the last segment
-    if params.n == 2:
-        offset_f = fp_mul(params.l, final_scale)
-        radius_f = offset_f
+    if pair is None:
+        offset_f = radius_f = fp_mul(params.l, final_scale)
     else:
-        offset_f, radius_f = _pair_geometry(params, state, final_scale, i, j)
-    rad_f = deg_to_rad(final_angle_trade)
-    sin_f, cos_f = fp_sin_cos(rad_f)
-    in_final = fp_sub(offset_f, fp_mul(radius_f, cos_f))
-    out_final = fp_sub(offset_f, fp_mul(radius_f, sin_f))
-    reserves[i] = in_final
-    reserves[j] = out_final
+        offset_f, radius_f = pair
+    sin_f, cos_f = fp_sin_cos(deg_to_rad(phi))
+    reserves[i] = fp_sub(offset_f, fp_mul(radius_f, cos_f))
+    reserves[j] = fp_sub(offset_f, fp_mul(radius_f, sin_f))
 
     # prices are the scale-free cotangent of the trade angle
-    start_trade_angle = segments[0].angle_from_deg if not canonical_flip else fp_sub(
-        NINETY, segments[0].angle_from_deg
-    )
-    sin_0, cos_0 = fp_sin_cos(deg_to_rad(start_trade_angle))
+    sin_0, cos_0 = fp_sin_cos(deg_to_rad(start))
     if sin_f.is_zero() or sin_0.is_zero():
         raise NumericError("price undefined at the arc endpoint")
-    price_of_in = fp_div(cos_f, sin_f)
-    price_before = fp_div(cos_0, sin_0)
 
     quote = SwapQuote(
         token_in=i,
         token_out=j,
         amount_in=filled_in,
         amount_out=filled_out,
-        price_before=price_before,
-        price_after=price_of_in,
+        price_before=fp_div(cos_0, sin_0),
+        price_after=fp_div(cos_f, sin_f),
         new_reserves=tuple(reserves),
     )
     return TickSwapResult(
         quote=quote,
         segments=tuple(segments),
-        final_angle_deg=final_angle_canonical,
+        final_angle_deg=canonical(phi),
         final_liquidity=final_scale,
     )
 

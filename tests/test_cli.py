@@ -6,6 +6,7 @@ import sys
 
 from polarpool.cli import main
 from polarpool.fixed import FixedDecimal, WAD
+from polarpool.invariant import ON_CURVE_TOLERANCE
 from polarpool.poolfile import dumps, load
 
 F = FixedDecimal
@@ -54,6 +55,14 @@ class TestInit:
             "--c", "0.647643292213304161",
         )
         assert abs(F(summary["residual"]).raw) <= 100
+
+    def test_shifted_pool_off_grid_bound(self, tmp_path, capsys):
+        # x / (x / l rounded to nearest) overshoots l by a quantum here
+        summary = init_pool(
+            capsys, tmp_path / "s.json", "--mode", "shifted", "--beta", "1.5",
+            "--c", "1.2", "--reserves", "0.907269,1.084361",
+        )
+        assert abs(F(summary["residual"])) <= ON_CURVE_TOLERANCE
 
 
 class TestQuoteSwap:

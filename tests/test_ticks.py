@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from polarpool.errors import (
     DomainError,
+    EngineError,
     InsufficientLiquidityError,
     NotFoundError,
     ValidationError,
 )
 from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sub
 from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
-from polarpool.polar import reserves_at_angle
+from polarpool.polar import NINETY, reserves_at_angle
 from polarpool.swap import pair_swap
 from polarpool.ticks import (
     LpPosition,
@@ -315,3 +316,103 @@ class TestSwapAcrossTicks:
         # matches the closed-form pairwise swap
         direct = pair_swap(params, state, 0, F("0.3"), 1)
         assert abs(result.quote.amount_out.raw - direct.amount_out.raw) <= 10 ** 9
+
+
+def mirror_ledger(ledger: TickLedger) -> TickLedger:
+    """The ledger seen from token 1: [lo, hi) becomes [90 - hi, 90 - lo)."""
+    return TickLedger(grid=ledger.grid, positions=tuple(
+        LpPosition(p.id, NINETY - p.upper_deg, NINETY - p.lower_deg, p.liquidity, p.side)
+        for p in ledger.positions
+    ))
+
+
+def parked_state(ledger: TickLedger, angle: FixedDecimal) -> PoolState:
+    """A two-token state with its angle cached (possibly a hair past an end)."""
+    probe = min(max(angle, ZERO), NINETY)
+    scale = active_liquidity(ledger, probe)
+    if scale <= ZERO:
+        scale = ONE
+    x, y = reserves_at_angle(CIRCLE, probe, scale)
+    return PoolState(reserves=(x, y), liquidity_scale=scale, angle_deg=angle)
+
+
+def tick_outcome(ledger, state, token_in, delta):
+    try:
+        return swap_across_ticks(CIRCLE, ledger, state, token_in, delta)
+    except EngineError as err:
+        return err
+
+
+def mirrored_angle(angle):
+    return None if angle is None else NINETY - angle
+
+
+class TestMirrorSymmetry:
+    """Selling token 1 is selling token 0 in the mirror angle 90 - phi."""
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 179), st.integers(1, 180),
+                           st.integers(1, 10 ** 19)), max_size=12),
+        st.booleans(),
+        st.one_of(
+            st.integers(0, 90 * WAD),
+            st.integers(0, 180).map(lambda k: k * WAD // 2),
+            st.integers(-2000, 2000),
+            st.integers(-2000, 2000).map(lambda q: 90 * WAD + q),
+        ),
+        st.integers(1, 10 ** 20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_token1_sell_is_mirrored_token0_sell(self, spans, base, angle_raw, delta_raw):
+        ledger = TickLedger(grid=TickGrid(spacing_deg=F("0.5")))
+        if base:
+            ledger = add_position(ledger, LpPosition("base", F(0), F(90), ONE))
+        half = WAD // 2
+        for k, (lo, span, liq_raw) in enumerate(spans):
+            hi = min(180, lo + span)
+            ledger = add_position(ledger, LpPosition(
+                f"h{k}", F.from_raw(lo * half), F.from_raw(hi * half), F.from_raw(liq_raw)))
+        angle = F.from_raw(angle_raw)
+        state = parked_state(ledger, angle)
+        mirror = mirror_ledger(ledger)
+        mstate = PoolState(reserves=state.reserves[::-1],
+                           liquidity_scale=state.liquidity_scale,
+                           angle_deg=NINETY - angle)
+        delta = F.from_raw(delta_raw)
+
+        sell1 = tick_outcome(ledger, state, 1, delta)
+        sell0 = tick_outcome(mirror, mstate, 0, delta)
+        if isinstance(sell1, EngineError):
+            assert type(sell0) is type(sell1) and str(sell0) == str(sell1)
+            for attr in ("filled_in", "filled_out"):
+                assert getattr(sell0, attr, None) == getattr(sell1, attr, None)
+            assert getattr(sell1, "boundary_angle_deg", None) == mirrored_angle(
+                getattr(sell0, "boundary_angle_deg", None))
+            return
+        assert not isinstance(sell0, EngineError), sell0
+        q1, q0 = sell1.quote, sell0.quote
+        assert (q1.amount_in, q1.amount_out, q1.price_before, q1.price_after) == (
+            q0.amount_in, q0.amount_out, q0.price_before, q0.price_after)
+        assert q1.new_reserves == q0.new_reserves[::-1]
+        assert sell1.final_angle_deg == NINETY - sell0.final_angle_deg
+        assert sell1.final_liquidity == sell0.final_liquidity
+        assert [(s.index, s.angle_from_deg, s.angle_to_deg, s.liquidity, s.delta_in,
+                 s.delta_out) for s in sell1.segments] == [
+            (s.index, NINETY - s.angle_from_deg, NINETY - s.angle_to_deg, s.liquidity,
+             s.delta_in, s.delta_out) for s in sell0.segments]
+
+    @pytest.mark.parametrize("token_in, angle, end", [
+        (0, F(90), F(90)),
+        (1, ZERO, ZERO),
+        (0, F.from_raw(90 * WAD + 1203), F(90)),
+        (1, F.from_raw(-1203), ZERO),
+    ])
+    def test_parked_at_arc_end(self, token_in, angle, end):
+        ledger = make_fig3_ledger()
+        state = parked_state(ledger, angle)
+        with pytest.raises(InsufficientLiquidityError) as info:
+            swap_across_ticks(CIRCLE, ledger, state, token_in, F("0.5"))
+        err = info.value
+        assert str(err) == "ran out of liquidity at the arc end"
+        assert err.filled_in == ZERO and err.filled_out == ZERO
+        assert err.boundary_angle_deg == end
