@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from decimal import Context, Decimal, InvalidOperation, Overflow, ROUND_HALF_EVEN
 from functools import lru_cache
+from math import isqrt
 
 from .errors import DomainError, RangeError
 
@@ -43,6 +44,7 @@ __all__ = [
     "fp_mul",
     "fp_div",
     "fp_sqrt",
+    "fp_sqrt_diff_squares",
     "fp_pow",
     "fp_ln",
     "fp_exp",
@@ -261,15 +263,30 @@ def fp_sqrt(a: FixedDecimal) -> FixedDecimal:
     """
     if a.raw < 0:
         raise DomainError("sqrt of negative value")
-    from math import isqrt
+    return FixedDecimal.from_raw(_nearest_isqrt(a.raw * WAD))
 
-    n = a.raw * WAD
+
+def fp_sqrt_diff_squares(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
+    """sqrt(a^2 - b^2) for |b| <= |a|, correctly rounded.
+
+    The radicand is exact in squared raw units, so the result carries one
+    rounding. fp_sqrt of a rounded a^2 - b^2 would carry two, the first
+    amplified by 1 / (2 sqrt(a^2 - b^2)) as |b| nears |a|.
+    """
+    n = a.raw * a.raw - b.raw * b.raw
+    if n < 0:
+        raise DomainError("sqrt(a^2 - b^2) needs |b| <= |a|")
+    return FixedDecimal.from_raw(_nearest_isqrt(n))
+
+
+def _nearest_isqrt(n: int) -> int:
+    """The integer nearest sqrt(n), for n >= 0."""
     s = isqrt(n)
-    # true root is never exactly halfway between grid points, so the
-    # nearest-neighbour test below has no tie case
+    # the root of an integer is never exactly halfway between two
+    # integers, so the nearest-neighbour test below has no tie case
     if n - s * s > s:
         s += 1
-    return FixedDecimal.from_raw(s)
+    return s
 
 
 # -- decimal bridge -------------------------------------------------------
@@ -490,6 +507,8 @@ def fp_acos(a: FixedDecimal) -> FixedDecimal:
         return ZERO
     if a.raw == -WAD:
         return _from_dec(pi_d)
+    if a.raw == 0:
+        return _from_dec(ctx.divide(pi_d, Decimal(2)))
     root = ctx.sqrt(ctx.subtract(Decimal(1), ctx.multiply(d, d)))
     base = _atan_dec(ctx.divide(root, d))
     if a.raw < 0:

@@ -15,6 +15,18 @@ circle at the same angle, which keeps the marginal price (cot of the
 angle) continuous across the crossing. The walk always moves the angle
 up: selling token 1 of a two-token pool is the same walk in the mirror
 angle 90 - phi, on the ledger's mirrored index.
+
+The walk carries the point, not the angle: (x, y) = R (cos phi, sin phi),
+the in- and out-reserves' distances below the centre of a circle of
+radius R. Selling d moves x to x - d exactly, and y follows from one
+correctly rounded square root of R^2 - x^2. The start point comes from
+the reserves. A boundary's (cos, sin) comes from a per-ledger table,
+filled one boundary at a time on first use; it evaluates sin and cos
+only at angles of at most 45 degrees and swaps the pair of 90 - b for an
+angle b above, so both trade directions read the same values. The angle
+in degrees serves only as the ledger's search key and as output: a trade
+takes one acos, for the angle where it ends inside a segment (n > 2
+pools take one more, for the start angle on the pair circle).
 """
 
 from __future__ import annotations
@@ -38,8 +50,8 @@ from .fixed import (
     fp_add,
     fp_div,
     fp_mul,
-    fp_sin,
     fp_sin_cos,
+    fp_sqrt_diff_squares,
     fp_sub,
 )
 from .invariant import CurveParams, PoolState
@@ -175,6 +187,34 @@ class TickLedger:
         raws, totals = self.index
         below = ((ZERO,) + totals)[:-1]
         return tuple(_NINETY_RAW - raw for raw in reversed(raws)), below[::-1]
+
+    @cached_property
+    def _unit_pairs(self) -> dict[int, tuple[FixedDecimal, FixedDecimal]]:
+        """(sin, cos) of the boundary angles looked up so far, keyed by raw
+        angle folded to at most 45 degrees; the arc end is exact."""
+        return {0: (ZERO, ONE)}
+
+    def cos_sin(self, raw: int) -> tuple[FixedDecimal, FixedDecimal]:
+        """(cos, sin) of the boundary angle ``raw`` (raw degrees in [0, 90]).
+
+        Mirror-symmetric by construction: the pair at 90 - b is the pair at
+        b swapped, bit for bit, since only the folded angle is evaluated.
+        """
+        folded = min(raw, _NINETY_RAW - raw)
+        pair = self._unit_pairs.get(folded)
+        if pair is None:
+            pair = fp_sin_cos(deg_to_rad(FixedDecimal.from_raw(folded)))
+            self._unit_pairs[folded] = pair
+        sin_b, cos_b = pair
+        return (cos_b, sin_b) if raw == folded else (sin_b, cos_b)
+
+
+def _reanchor(x: FixedDecimal, y: FixedDecimal, circle: FixedDecimal,
+              radius: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
+    """The point (x, y) of one circle at the same angle on a concentric one."""
+    if radius == circle:
+        return x, y
+    return fp_div(fp_mul(x, radius), circle), fp_div(fp_mul(y, radius), circle)
 
 
 def _active(index, raw: int) -> FixedDecimal:
@@ -313,10 +353,12 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
         # the mirror is its own inverse, so this maps both ways
         return fp_sub(NINETY, angle) if mirrored else angle
 
+    # the point (x, y) = circle * (cos phi, sin phi) in walk orientation
     reserves = list(state.reserves)
     if params.n == 2:
         pair = None
         phi = canonical(angle_of_state(params, state))
+        offset0 = circle = fp_mul(params.l, state.liquidity_scale)
     else:
         # uniform ledgers have no boundary inside the arc, so the pair
         # circle found at the start holds for the whole trade
@@ -332,10 +374,11 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
             )
         pair = effective_pair_circle(
             params, replace(state, liquidity_scale=scale0), i, j)
-        offset0, radius0 = pair
-        phi = rad_to_deg(fp_acos(fp_div(fp_sub(offset0, reserves[i]), radius0)))
+        offset0, circle = pair
+        phi = rad_to_deg(fp_acos(fp_div(fp_sub(offset0, reserves[i]), circle)))
+    x, y = fp_sub(offset0, reserves[i]), fp_sub(offset0, reserves[j])
 
-    start = phi
+    x_0, y_0 = x, y
     remaining = delta_in
     filled_in = ZERO
     filled_out = ZERO
@@ -357,22 +400,25 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
                 filled_in=filled_in, filled_out=filled_out,
                 boundary_angle_deg=canonical(phi),
             )
-        radius = fp_mul(params.l, scale) if pair is None else pair[1]
+        radius = fp_mul(params.l, scale) if pair is None else circle
+        x, y = _reanchor(x, y, circle, radius)
 
         k = bisect_right(raws, phi.raw)
         stop = FixedDecimal.from_raw(raws[k]) if k < len(raws) else NINETY
-        sin_phi, cos_phi = fp_sin_cos(deg_to_rad(phi))
-        sin_stop, cos_stop = fp_sin_cos(deg_to_rad(stop))
-        capacity = fp_mul(radius, fp_sub(cos_phi, cos_stop))
+        cos_stop, sin_stop = ledger.cos_sin(stop.raw)
+        x_stop = fp_mul(radius, cos_stop)
+        capacity = fp_sub(x, x_stop)
 
         crossing = remaining > capacity
-        if crossing:
-            # consume the whole segment and cross
-            step, end, sin_end = capacity, stop, sin_stop
+        if remaining < capacity:
+            step, x_end = remaining, fp_sub(x, remaining)
+            y_end = fp_sqrt_diff_squares(radius, x_end)
+            # rounding in acos must not move the angle back or out of the segment
+            end = min(max(rad_to_deg(fp_acos(fp_div(x_end, radius))), phi), stop)
         else:
-            end_rad = fp_acos(fp_sub(cos_phi, fp_div(remaining, radius)))
-            step, end, sin_end = remaining, rad_to_deg(end_rad), fp_sin(end_rad)
-        out = fp_mul(radius, fp_sub(sin_end, sin_phi))
+            # the segment fills: land on its boundary
+            step, x_end, y_end, end = capacity, x_stop, fp_mul(radius, sin_stop), stop
+        out = fp_sub(y_end, y)
         segments.append(SegmentFill(
             index=len(segments),
             angle_from_deg=canonical(phi),
@@ -384,23 +430,22 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
         filled_in = fp_add(filled_in, step)
         filled_out = fp_add(filled_out, out)
         remaining = fp_sub(remaining, step)
-        phi = end
+        phi, x, y, circle = end, x_end, y_end, radius
 
     # final state: virtual reserves at the final angle on the final circle
     final_scale = _active(index, phi.raw)
     if final_scale <= ZERO:
         final_scale = scale  # landed exactly on the upper edge of the last segment
     if pair is None:
-        offset_f = radius_f = fp_mul(params.l, final_scale)
+        offset_f = fp_mul(params.l, final_scale)
+        x, y = _reanchor(x, y, circle, offset_f)
     else:
-        offset_f, radius_f = pair
-    sin_f, cos_f = fp_sin_cos(deg_to_rad(phi))
-    reserves[i] = fp_sub(offset_f, fp_mul(radius_f, cos_f))
-    reserves[j] = fp_sub(offset_f, fp_mul(radius_f, sin_f))
+        offset_f = offset0
+    reserves[i] = fp_sub(offset_f, x)
+    reserves[j] = fp_sub(offset_f, y)
 
     # prices are the scale-free cotangent of the trade angle
-    sin_0, cos_0 = fp_sin_cos(deg_to_rad(start))
-    if sin_f.is_zero() or sin_0.is_zero():
+    if y.is_zero() or y_0.is_zero():
         raise NumericError("price undefined at the arc endpoint")
 
     quote = SwapQuote(
@@ -408,8 +453,8 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
         token_out=j,
         amount_in=filled_in,
         amount_out=filled_out,
-        price_before=fp_div(cos_0, sin_0),
-        price_after=fp_div(cos_f, sin_f),
+        price_before=fp_div(x_0, y_0),
+        price_after=fp_div(x, y),
         new_reserves=tuple(reserves),
     )
     return TickSwapResult(

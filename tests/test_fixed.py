@@ -31,6 +31,7 @@ from polarpool.fixed import (
     fp_pow,
     fp_sin,
     fp_sqrt,
+    fp_sqrt_diff_squares,
     fp_sub,
 )
 
@@ -137,6 +138,22 @@ class TestSqrt:
             # squared result stays within 2 ulps at the value's own scale
             err = abs(s * s - n)  # in 1e-36 units
             assert err <= 2 * max(raw, WAD)
+
+    @given(st.integers(min_value=0, max_value=10 ** 21), st.integers(min_value=0, max_value=WAD))
+    @settings(max_examples=300)
+    def test_diff_squares_correctly_rounded(self, a_raw, share_raw):
+        b_raw = a_raw * share_raw // WAD
+        s = fp_sqrt_diff_squares(F.from_raw(a_raw), F.from_raw(-b_raw)).raw
+        n = a_raw * a_raw - b_raw * b_raw
+        # nearest grid point to sqrt(a^2 - b^2): (s - 1/2)^2 < n < (s + 1/2)^2
+        assert s == 0 or (2 * s - 1) ** 2 < 4 * n
+        assert 4 * n < (2 * s + 1) ** 2
+
+    def test_diff_squares_domain(self):
+        assert fp_sqrt_diff_squares(F(5), F(4)) == F(3)
+        assert fp_sqrt_diff_squares(ONE, ONE) == ZERO
+        with pytest.raises(DomainError):
+            fp_sqrt_diff_squares(ONE, F.from_raw(WAD + 1))
 
     def test_monotone(self):
         rng = random.Random(7)
@@ -253,6 +270,13 @@ class TestTrig:
         s, c = fp_sin(a), fp_cos(a)
         total = fp_add(fp_mul(s, s), fp_mul(c, c))
         assert abs(total.raw - WAD) <= 4
+
+    def test_acos_exact_endpoints(self):
+        assert fp_acos(ONE) == ZERO
+        assert fp_acos(-ONE) == PI
+        # the root over the argument would divide by zero at 0
+        assert fp_acos(ZERO) == fp_div(PI, TWO)
+        assert_close_to_reference(fp_acos(ZERO), mpmath.pi / 2)
 
     def test_inverse_trig_reference(self):
         rng = random.Random(23)

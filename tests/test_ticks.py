@@ -3,8 +3,9 @@
 import math
 import random
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarpool.errors import (
@@ -16,8 +17,9 @@ from polarpool.errors import (
 )
 from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sub
 from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
-from polarpool.polar import NINETY, reserves_at_angle
+from polarpool.polar import NINETY, polar_swap_exact_in, reserves_at_angle
 from polarpool.swap import pair_swap
+import polarpool.ticks
 from polarpool.ticks import (
     LpPosition,
     TickGrid,
@@ -416,3 +418,144 @@ class TestMirrorSymmetry:
         assert str(err) == "ran out of liquidity at the arc end"
         assert err.filled_in == ZERO and err.filled_out == ZERO
         assert err.boundary_angle_deg == end
+
+
+class TestCarriedPairKernel:
+    """The walk carries R (cos, sin): one acos per trade, boundary pairs cached."""
+
+    @staticmethod
+    def uniform_trade(scale_raw, angle_raw, token_in, share_raw):
+        """A full-range ledger, a state at the angle, a share of the room left."""
+        scale = F.from_raw(scale_raw)
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, scale))
+        angle = F.from_raw(angle_raw)
+        x, y = reserves_at_angle(CIRCLE, angle, scale)
+        state = PoolState(reserves=(x, y), liquidity_scale=scale, angle_deg=angle)
+        room = fp_sub(fp_mul(CIRCLE.l, scale), state.reserves[token_in])
+        return ledger, state, fp_mul(room, F.from_raw(share_raw))
+
+    @given(
+        st.integers(10 ** 16, 10 ** 19),
+        st.integers(5 * WAD, 85 * WAD),
+        st.sampled_from([0, 1]),
+        st.integers(1, 99 * 10 ** 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_segment_matches_references(self, scale_raw, angle_raw, token_in,
+                                            share_raw):
+        # scales 0.01 to 10, trades up to 99 % of the room left; angles stay
+        # 5 degrees from the arc ends, since near an end the references lose
+        # digits: one quantum of the in-reserve moves the other cot(phi) quanta
+        ledger, state, delta = self.uniform_trade(scale_raw, angle_raw, token_in,
+                                                  share_raw)
+        assume(delta > ZERO)
+        result = swap_across_ticks(CIRCLE, ledger, state, token_in, delta)
+        assert len(result.segments) == 1
+        for ref in (polar_swap_exact_in(CIRCLE, state, token_in, delta),
+                    pair_swap(CIRCLE, state, token_in, delta)):
+            assert abs(result.quote.amount_out.raw - ref.amount_out.raw) <= 1000
+            for got, want in zip(result.quote.new_reserves, ref.new_reserves):
+                assert abs(got.raw - want.raw) <= 1000
+
+    @given(
+        st.integers(10 ** 16, 10 ** 20),
+        st.integers(10 ** 15, 90 * WAD - 10 ** 15),
+        st.sampled_from([0, 1]),
+        st.integers(1, 99 * 10 ** 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_segment_is_the_exact_circle_move(self, scale_raw, angle_raw, token_in,
+                                                  share_raw):
+        # the in-reserve moves by the trade exactly and the out-reserve lands
+        # within half a quantum of the circle through the new in-reserve
+        ledger, state, delta = self.uniform_trade(scale_raw, angle_raw, token_in,
+                                                  share_raw)
+        assume(delta > ZERO)
+        quote = swap_across_ticks(CIRCLE, ledger, state, token_in, delta).quote
+        i, j = token_in, 1 - token_in
+        assert quote.new_reserves[i] == state.reserves[i] + delta
+        assert quote.new_reserves[j] == state.reserves[j] - quote.amount_out
+        with mpmath.workdps(60):
+            offset = mpmath.mpf(fp_mul(CIRCLE.l, state.liquidity_scale).raw) / WAD
+            moved = mpmath.mpf(quote.new_reserves[i].raw) / WAD
+            partner = offset - mpmath.sqrt(offset ** 2 - (moved - offset) ** 2)
+            err = abs(mpmath.mpf(quote.new_reserves[j].raw) / WAD - partner) * WAD
+        assert err <= 0.5
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 179), st.integers(1, 180),
+                           st.integers(10 ** 12, 10 ** 19)), min_size=1, max_size=12),
+        st.integers(1, 10 ** 6 - 1),
+        st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exact_fill_lands_on_the_boundary(self, spans, where, token_in):
+        # liquidities of 1e-6 or more give every half-degree segment a
+        # capacity of many quanta, so a fill of the whole run ends at its top;
+        # the start lies strictly inside the first range, so liquidity is live
+        # both ways and the start price is defined
+        ledger = TickLedger(grid=TickGrid(spacing_deg=F("0.5")))
+        half = WAD // 2
+        bounds = []
+        for k, (lo, span, liq_raw) in enumerate(spans):
+            hi = min(180, lo + span)
+            bounds.append((lo * half, hi * half))
+            ledger = add_position(ledger, LpPosition(
+                f"h{k}", F.from_raw(lo * half), F.from_raw(hi * half), F.from_raw(liq_raw)))
+        lo_raw, hi_raw = bounds[0]
+        state = parked_state(ledger, F.from_raw(lo_raw + (hi_raw - lo_raw) * where // 10 ** 6))
+        with pytest.raises(InsufficientLiquidityError) as info:
+            swap_across_ticks(CIRCLE, ledger, state, token_in, F(10 ** 9))
+        err = info.value
+        assert err.filled_in > ZERO
+        fill = swap_across_ticks(CIRCLE, ledger, state, token_in, err.filled_in)
+        assert fill.final_angle_deg == err.boundary_angle_deg
+        assert fill.quote.amount_in == err.filled_in
+        assert fill.quote.amount_out == err.filled_out
+        after = commit_tick_swap(state, fill)
+        assert after.angle_deg == err.boundary_angle_deg
+        with pytest.raises(InsufficientLiquidityError) as again:
+            swap_across_ticks(CIRCLE, ledger, after, token_in, F("0.001"))
+        assert again.value.filled_in == ZERO and again.value.filled_out == ZERO
+        assert again.value.boundary_angle_deg == err.boundary_angle_deg
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"fp_sin_cos": 0, "fp_acos": 0}
+        for name in counts:
+            fn = getattr(polarpool.ticks, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(polarpool.ticks, name, counted)
+        return counts
+
+    def test_one_segment_trade_takes_one_acos(self, calls):
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, F(5)))
+        x, y = reserves_at_angle(CIRCLE, F(45), F(5))
+        state = PoolState(reserves=(x, y), liquidity_scale=F(5), angle_deg=F(45))
+        for token_in in (0, 1):
+            calls.update(fp_sin_cos=0, fp_acos=0)
+            swap_across_ticks(CIRCLE, ledger, state, token_in, ONE)
+            assert calls == {"fp_sin_cos": 0, "fp_acos": 1}
+
+    def test_boundary_pairs_computed_once_per_ledger(self, calls):
+        # five unit ranges above 45 degrees on a full-range base: a trade
+        # from 45 crosses 46, ..., 50 and ends below the arc end at 90
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, F(5)))
+        for k in range(5):
+            ledger = add_position(ledger, LpPosition(
+                f"r{k}", F(45 + k), F(46 + k), F(k + 1)))
+        x, y = reserves_at_angle(CIRCLE, F(45), F(6))
+        state = PoolState(reserves=(x, y), liquidity_scale=F(6), angle_deg=F(45))
+        result = swap_across_ticks(CIRCLE, ledger, state, 0, F(6))
+        crossed = len(result.segments) - 1
+        assert crossed == 5 and result.segments[-1].angle_from_deg == F(50)
+        assert calls["fp_sin_cos"] <= crossed
+        assert calls["fp_acos"] == 1
+        calls.update(fp_sin_cos=0, fp_acos=0)
+        again = swap_across_ticks(CIRCLE, ledger, state, 0, F(6))
+        assert again == result
+        assert calls == {"fp_sin_cos": 0, "fp_acos": 1}
