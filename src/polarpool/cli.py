@@ -52,6 +52,7 @@ from .polar import (
 from .poolfile import PoolFile, load, save
 from .swap import (
     SwapQuote,
+    commit,
     csemm_y_of_x,
     effective_pair_circle,
     other_reserve,
@@ -212,11 +213,7 @@ def cmd_swap(args) -> int:
     if tick_result is not None:
         new_state = commit_tick_swap(pool.state, tick_result)
     else:
-        new_state = PoolState(
-            reserves=quote.new_reserves,
-            liquidity_scale=pool.state.liquidity_scale,
-            angle_deg=None,
-        )
+        new_state = commit(pool.state, quote)
     save(args.pool, pool.with_state(new_state))
     _print_json(_quote_payload(pool, args, quote, tick_result))
     return EXIT_OK

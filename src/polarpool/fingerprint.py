@@ -1,4 +1,4 @@
-"""Liquidity fingerprints and the numerical LP payoff.
+"""Liquidity fingerprints and the LP payoff.
 
 The fingerprint is the density of liquidity over log-price tick space
 t = ln(price). Closed forms exist for the circular curve,
@@ -11,17 +11,18 @@ overflow-safe rearrangement: dividing numerator and denominator by
 e^{3t/2} turns the ratio into (e^t + e^{-t})^{-3/2} and keeps every
 intermediate inside the representable range for |t| well past 20.
 
-The LP payoff V(p) = min over on-curve reserves of (p x + y) is computed
-by golden-section search on the lower arc; the liquidity density
-recovered from V via central finite differences, (V' - u V'') / 2 with
-u = sqrt(price), reproduces the closed form without referencing it.
+The LP payoff V(p) = min over on-curve reserves of (p x + y) has the
+closed form l (p + c - sqrt(p^2 + c^2)) at the arc point parallel to
+(p, c); the liquidity density recovered from V via central finite
+differences, (V' - u V'') / 2 with u = sqrt(price), reproduces the
+fingerprint closed form without referencing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError, NumericError, ValidationError
+from .errors import DomainError, ValidationError
 from .fixed import (
     FixedDecimal,
     HALF_PI,
@@ -31,11 +32,11 @@ from .fixed import (
     fp_add,
     fp_div,
     fp_exp,
+    fp_hypot,
     fp_ln,
     fp_mul,
     fp_pow,
     fp_sin,
-    fp_sqrt,
     fp_sub,
 )
 from .invariant import default_offset, eta
@@ -43,9 +44,6 @@ from .invariant import default_offset, eta
 F = FixedDecimal
 
 FINGERPRINT_MODES = ("ccmm", "cemm", "csemm", "multimodal")
-
-# golden ratio conjugate (sqrt(5) - 1) / 2, correctly rounded
-_INV_PHI = fp_div(fp_sub(fp_sqrt(F(5)), ONE), TWO)
 
 
 @dataclass(frozen=True)
@@ -146,48 +144,21 @@ def modality_count(params: FingerprintParams, samples: int = 10_000) -> int:
     return count
 
 
-def _arc_value(params: FingerprintParams, price: FixedDecimal,
-               x: FixedDecimal) -> FixedDecimal:
-    """p*x + y on the lower arc of the (possibly c-shifted) circle."""
-    radicand = fp_sub(fp_mul(fp_mul(TWO, params.l), x), fp_mul(x, x))
-    y = fp_sub(params.l, fp_sqrt(radicand))
-    if params.mode == "cemm":
-        y = fp_mul(params.c, y)
-    return fp_add(fp_mul(price, x), y)
+def lp_payoff(params: FingerprintParams, price: FixedDecimal) -> FixedDecimal:
+    """LP value V(p) = min over the arc of (p x + y), in closed form.
 
-
-def lp_payoff(params: FingerprintParams, price: FixedDecimal,
-              tolerance: FixedDecimal = F("0.000000000001")) -> FixedDecimal:
-    """LP value V(p) = min over the arc of (p x + y), by golden section.
-
-    The objective is strictly convex on the arc, so the bracket shrinks
-    geometrically; the search is capped and reports non-convergence
-    rather than returning a stale bracket.
+    On the arc x = l (1 - cos phi), y = c l (1 - sin phi), with c = 1 for
+    the circle, p x + y = l (p + c) - l (p cos phi + c sin phi), least where
+    (cos phi, sin phi) is parallel to (p, c): V = l (p + c - sqrt(p^2 + c^2)).
     """
     if params.mode not in ("ccmm", "cemm"):
         raise ValidationError("payoff is defined for circular and elliptical modes")
     if price <= ZERO:
         raise DomainError("price must be positive")
-    a, b = ZERO, params.l
-    x1 = fp_sub(b, fp_mul(_INV_PHI, fp_sub(b, a)))
-    x2 = fp_add(a, fp_mul(_INV_PHI, fp_sub(b, a)))
-    f1 = _arc_value(params, price, x1)
-    f2 = _arc_value(params, price, x2)
-    for _ in range(200):
-        if fp_sub(b, a) <= tolerance:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = fp_sub(b, fp_mul(_INV_PHI, fp_sub(b, a)))
-            f1 = _arc_value(params, price, x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = fp_add(a, fp_mul(_INV_PHI, fp_sub(b, a)))
-            f2 = _arc_value(params, price, x2)
-    else:
-        raise NumericError("golden-section search failed to converge")
-    mid = FixedDecimal.from_raw((a.raw + b.raw) // 2)
-    return _arc_value(params, price, mid)
+    c = params.c if params.mode == "cemm" else ONE
+    # l enters each term before the root, not as a factor of its rounding
+    lp, lc = fp_mul(params.l, price), fp_mul(params.l, c)
+    return fp_sub(fp_add(lp, lc), fp_hypot(lp, lc))
 
 
 def payoff_fingerprint(params: FingerprintParams, t: FixedDecimal,

@@ -45,6 +45,8 @@ __all__ = [
     "fp_div",
     "fp_sqrt",
     "fp_sqrt_diff_squares",
+    "fp_hypot",
+    "fp_unit",
     "fp_pow",
     "fp_ln",
     "fp_exp",
@@ -135,10 +137,6 @@ class FixedDecimal:
         return cls.from_raw(_round_div(numerator * WAD, denominator))
 
     # -- conversions ------------------------------------------------------
-
-    def to_decimal(self) -> Decimal:
-        """Exact Decimal value (no rounding)."""
-        return Decimal(self.raw).scaleb(-DECIMALS)
 
     def __str__(self) -> str:
         sign = "-" if self.raw < 0 else ""
@@ -279,12 +277,30 @@ def fp_sqrt_diff_squares(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
     return FixedDecimal.from_raw(_nearest_isqrt(n))
 
 
-def _nearest_isqrt(n: int) -> int:
-    """The integer nearest sqrt(n), for n >= 0."""
-    s = isqrt(n)
-    # the root of an integer is never exactly halfway between two
-    # integers, so the nearest-neighbour test below has no tie case
-    if n - s * s > s:
+def fp_hypot(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
+    """sqrt(a^2 + b^2), correctly rounded from the exact radicand."""
+    return FixedDecimal.from_raw(_nearest_isqrt(a.raw * a.raw + b.raw * b.raw))
+
+
+def fp_unit(a: FixedDecimal, b: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
+    """(a, b) / sqrt(a^2 + b^2) for a, b >= 0, not both 0.
+
+    Each component is correctly rounded from the exact ratio of squares;
+    dividing by a rounded norm would add the norm's rounding to both.
+    """
+    n = a.raw * a.raw + b.raw * b.raw
+    if a.raw < 0 or b.raw < 0 or n == 0:
+        raise DomainError("unit vector needs a, b >= 0, not both 0")
+    return (FixedDecimal.from_raw(_nearest_isqrt(a.raw * a.raw * WAD * WAD, n)),
+            FixedDecimal.from_raw(_nearest_isqrt(b.raw * b.raw * WAD * WAD, n)))
+
+
+def _nearest_isqrt(n: int, d: int = 1) -> int:
+    """The integer nearest sqrt(n / d), for n >= 0 and d > 0."""
+    s = isqrt(n // d)
+    # sqrt(n / d) > s + 1/2 exactly when 4 n > (2 s + 1)^2 d; at d = 1 there
+    # is no tie, since the root of an integer is never halfway between two
+    if 4 * n > (2 * s + 1) ** 2 * d:
         s += 1
     return s
 

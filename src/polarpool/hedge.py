@@ -9,9 +9,11 @@ both sides of the transition, and normalizing the two plateau levels to
 1 (deep depeg) and 0 (no depeg) yields the prediction-market-style
 payoff.
 
-Positions are marked at the arbitrage-consistent reserve mix: the angle
-whose marginal price (cotangent) equals the valuation price, clamped to
-the band.
+Positions are marked at the arbitrage-consistent reserve mix: the arc
+point whose marginal price cot phi equals the valuation price p, which is
+the unit vector (cos, sin) = (p, 1) / sqrt(1 + p^2), clamped to the band.
+The band edges' (cos, sin) come from the boundary table the tick kernel
+reads, so marking a price evaluates no trigonometric function.
 """
 
 from __future__ import annotations
@@ -23,15 +25,13 @@ from .fixed import (
     FixedDecimal,
     ONE,
     ZERO,
-    fp_atan2,
     fp_div,
     fp_mul,
-    fp_sin_cos,
     fp_sub,
     fp_add,
 )
 from .invariant import CurveParams
-from .polar import NINETY, deg_to_rad, price_to_angle
+from .polar import NINETY, arbitrage_point, boundary_cos_sin, price_to_angle
 from .ticks import LpPosition, TickLedger, add_position
 
 F = FixedDecimal
@@ -82,12 +82,12 @@ def position_value(params: CurveParams, position: LpPosition,
 
     Below the band in angle the position is entirely in y (constant
     value); above it entirely in x (value linear in price); inside it the
-    on-curve mix at the arbitrage angle. The mark is of the held claim:
+    on-curve mix at the arbitrage point. The mark is of the held claim:
     short legs enter spreads through subtraction, not through this sign.
     """
     if price <= ZERO:
         raise DomainError("price must be positive")
-    return _LegMark(params, position).value(price, fp_atan2(ONE, price))
+    return _LegMark(params, position).value(price, *arbitrage_point(price))
 
 
 def _aligned_strike_angle(grid, spec: HedgeSpec) -> FixedDecimal:
@@ -149,14 +149,12 @@ def build_hedge(params: CurveParams, ledger: TickLedger,
 
 
 class _LegMark:
-    """Precomputed band trigonometry for fast repeated valuation."""
+    """A band's edge points, for fast repeated valuation."""
 
     def __init__(self, params: CurveParams, position: LpPosition):
         self.lam_l = fp_mul(position.liquidity, params.l)
-        self.lo_rad = deg_to_rad(position.lower_deg)
-        self.hi_rad = deg_to_rad(position.upper_deg)
-        self.sin_lo, self.cos_lo = fp_sin_cos(self.lo_rad)
-        self.sin_hi, self.cos_hi = fp_sin_cos(self.hi_rad)
+        self.cos_lo, self.sin_lo = boundary_cos_sin(position.lower_deg.raw)
+        self.cos_hi, self.sin_hi = boundary_cos_sin(position.upper_deg.raw)
 
     def full_amounts(self) -> tuple[FixedDecimal, FixedDecimal]:
         """Full token holdings of the band once the price has crossed it.
@@ -167,13 +165,13 @@ class _LegMark:
         return (fp_mul(self.lam_l, fp_sub(self.cos_lo, self.cos_hi)),
                 fp_mul(self.lam_l, fp_sub(self.sin_hi, self.sin_lo)))
 
-    def value(self, price: FixedDecimal, arb_rad: FixedDecimal) -> FixedDecimal:
-        if arb_rad <= self.lo_rad:
-            sin_at, cos_at = self.sin_lo, self.cos_lo
-        elif arb_rad >= self.hi_rad:
-            sin_at, cos_at = self.sin_hi, self.cos_hi
-        else:
-            sin_at, cos_at = fp_sin_cos(arb_rad)
+    def value(self, price: FixedDecimal, cos_at: FixedDecimal,
+              sin_at: FixedDecimal) -> FixedDecimal:
+        # cos falls as the angle rises: the band is cos_hi <= cos <= cos_lo
+        if cos_at >= self.cos_lo:
+            cos_at, sin_at = self.cos_lo, self.sin_lo
+        elif cos_at <= self.cos_hi:
+            cos_at, sin_at = self.cos_hi, self.sin_hi
         x_pos = fp_mul(self.lam_l, fp_sub(self.cos_lo, cos_at))
         y_pos = fp_mul(self.lam_l, fp_sub(self.sin_hi, sin_at))
         return fp_add(fp_mul(price, x_pos), y_pos)
@@ -210,8 +208,8 @@ def hedge_payoff(params: CurveParams, spec: HedgeSpec, price_grid,
     for price in price_grid:
         if price <= ZERO:
             raise DomainError("price must be positive")
-        arb_rad = fp_atan2(ONE, price)
-        raw = fp_sub(long_mark.value(price, arb_rad),
-                     short_mark.value(price, arb_rad))
+        cos_at, sin_at = arbitrage_point(price)
+        raw = fp_sub(long_mark.value(price, cos_at, sin_at),
+                     short_mark.value(price, cos_at, sin_at))
         samples.append((price, fp_div(fp_sub(raw, no_depeg_level), scale)))
     return PayoffCurve(samples=tuple(samples))

@@ -285,10 +285,6 @@ def invariant_residual(params: CurveParams, state: PoolState) -> FixedDecimal:
     return shifted_ellipse_residual(params, x, y, state.liquidity_scale)
 
 
-def is_on_curve(params: CurveParams, state: PoolState) -> bool:
-    return abs(invariant_residual(params, state)) <= ON_CURVE_TOLERANCE
-
-
 def spot_price(params: CurveParams, state: PoolState, token_in: int = 0,
                token_out: int = 1) -> FixedDecimal:
     """Marginal price of token_in denominated in token_out.

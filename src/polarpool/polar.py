@@ -19,6 +19,7 @@ trigonometric calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, InsufficientLiquidityError, RangeError, ValidationError
 from .fixed import (
@@ -33,8 +34,10 @@ from .fixed import (
     fp_div,
     fp_mul,
     fp_sin,
+    fp_sin_cos,
     fp_sqrt,
     fp_sub,
+    fp_unit,
 )
 from .invariant import (
     CurveParams,
@@ -48,12 +51,12 @@ from .swap import SwapQuote, effective_pair_circle
 F = FixedDecimal
 
 NINETY = F(90)
-RAD_PER_DEG = fp_div(PI, F(180))
 DEG_PER_RAD = fp_div(F(180), PI)
 
 
 def deg_to_rad(angle_deg: FixedDecimal) -> FixedDecimal:
-    return fp_mul(angle_deg, RAD_PER_DEG)
+    # pi / 180 rounded to the grid would carry its rounding times the angle
+    return fp_div(fp_mul(angle_deg, PI), F(180))
 
 
 def rad_to_deg(angle_rad: FixedDecimal) -> FixedDecimal:
@@ -70,6 +73,32 @@ class PolarPoint:
     def __post_init__(self):
         if self.angle_deg < ZERO or self.angle_deg > NINETY:
             raise ValidationError("angle must lie in [0, 90] degrees")
+
+
+@lru_cache(maxsize=None)
+def boundary_cos_sin(raw: int) -> tuple[FixedDecimal, FixedDecimal]:
+    """(cos, sin) of the angle ``raw`` (raw degrees in [0, 90]).
+
+    A process-wide table, filled one angle at a time on first use. Sine and
+    cosine are evaluated only at angles of at most 45 degrees; an angle b
+    above reads the pair of 90 - b swapped, so the table is mirror-symmetric
+    bit for bit, and the arc ends are the exact (1, 0) and (0, 1).
+    """
+    if 2 * raw > NINETY.raw:
+        cos_m, sin_m = boundary_cos_sin(NINETY.raw - raw)
+        return sin_m, cos_m
+    if raw == 0:
+        return ONE, ZERO
+    sin_b, cos_b = fp_sin_cos(deg_to_rad(FixedDecimal.from_raw(raw)))
+    return cos_b, sin_b
+
+
+def arbitrage_point(price: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
+    """(cos, sin) of the arc point whose marginal price cot phi is ``price``.
+
+    That is the unit vector (p, 1) / sqrt(1 + p^2); no angle is formed.
+    """
+    return fp_unit(price, ONE)
 
 
 def price_to_angle(price: FixedDecimal) -> FixedDecimal:

@@ -31,6 +31,7 @@ from .fixed import (
     fp_mul,
     fp_pow,
     fp_sqrt,
+    fp_sqrt_diff_squares,
     fp_sub,
 )
 from .invariant import (
@@ -115,13 +116,10 @@ def other_reserve(params: CurveParams, state: PoolState, token: int, other: int,
     s = state.liquidity_scale
     if params.mode == "ccmm":
         offset, radius = effective_pair_circle(params, state, token, other)
-        if value < ZERO or value > offset:
+        d = fp_sub(offset, value)
+        if value < ZERO or value > offset or d > radius:
             raise DomainError("reserve outside the circular arc")
-        d = fp_sub(value, offset)
-        radicand = fp_sub(fp_mul(radius, radius), fp_mul(d, d))
-        if radicand < ZERO:
-            raise DomainError("reserve outside the circular arc")
-        return fp_sub(offset, fp_sqrt(radicand))
+        return fp_sub(offset, fp_sqrt_diff_squares(radius, d))
     if params.n != 2:
         raise ValidationError("superelliptical swaps are two-token only")
     if value < ZERO:

@@ -20,13 +20,14 @@ The walk carries the point, not the angle: (x, y) = R (cos phi, sin phi),
 the in- and out-reserves' distances below the centre of a circle of
 radius R. Selling d moves x to x - d exactly, and y follows from one
 correctly rounded square root of R^2 - x^2. The start point comes from
-the reserves. A boundary's (cos, sin) comes from a per-ledger table,
-filled one boundary at a time on first use; it evaluates sin and cos
-only at angles of at most 45 degrees and swaps the pair of 90 - b for an
-angle b above, so both trade directions read the same values. The angle
-in degrees serves only as the ledger's search key and as output: a trade
-takes one acos, for the angle where it ends inside a segment (n > 2
-pools take one more, for the start angle on the pair circle).
+the reserves. A boundary's (cos, sin) comes from the process-wide table
+``polar.boundary_cos_sin``, shared by every ledger and filled one angle
+at a time on first use; it evaluates sin and cos only at angles of at
+most 45 degrees and swaps the pair of 90 - b for an angle b above, so
+both trade directions read the same values. The angle in degrees serves
+only as the ledger's search key and as output: a trade takes one acos,
+for the angle where it ends inside a segment (n > 2 pools take one more,
+for the start angle on the pair circle).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .fixed import (
     fp_add,
     fp_div,
     fp_mul,
-    fp_sin_cos,
     fp_sqrt_diff_squares,
     fp_sub,
 )
@@ -59,7 +59,7 @@ from .polar import (
     NINETY,
     angle_of_state,
     angle_to_price,
-    deg_to_rad,
+    boundary_cos_sin,
     rad_to_deg,
 )
 from .swap import SwapQuote, effective_pair_circle
@@ -187,26 +187,6 @@ class TickLedger:
         raws, totals = self.index
         below = ((ZERO,) + totals)[:-1]
         return tuple(_NINETY_RAW - raw for raw in reversed(raws)), below[::-1]
-
-    @cached_property
-    def _unit_pairs(self) -> dict[int, tuple[FixedDecimal, FixedDecimal]]:
-        """(sin, cos) of the boundary angles looked up so far, keyed by raw
-        angle folded to at most 45 degrees; the arc end is exact."""
-        return {0: (ZERO, ONE)}
-
-    def cos_sin(self, raw: int) -> tuple[FixedDecimal, FixedDecimal]:
-        """(cos, sin) of the boundary angle ``raw`` (raw degrees in [0, 90]).
-
-        Mirror-symmetric by construction: the pair at 90 - b is the pair at
-        b swapped, bit for bit, since only the folded angle is evaluated.
-        """
-        folded = min(raw, _NINETY_RAW - raw)
-        pair = self._unit_pairs.get(folded)
-        if pair is None:
-            pair = fp_sin_cos(deg_to_rad(FixedDecimal.from_raw(folded)))
-            self._unit_pairs[folded] = pair
-        sin_b, cos_b = pair
-        return (cos_b, sin_b) if raw == folded else (sin_b, cos_b)
 
 
 def _reanchor(x: FixedDecimal, y: FixedDecimal, circle: FixedDecimal,
@@ -405,7 +385,7 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
 
         k = bisect_right(raws, phi.raw)
         stop = FixedDecimal.from_raw(raws[k]) if k < len(raws) else NINETY
-        cos_stop, sin_stop = ledger.cos_sin(stop.raw)
+        cos_stop, sin_stop = boundary_cos_sin(stop.raw)
         x_stop = fp_mul(radius, cos_stop)
         capacity = fp_sub(x, x_stop)
 

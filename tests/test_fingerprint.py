@@ -2,6 +2,8 @@
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarpool.errors import DomainError, ValidationError
 from polarpool.fingerprint import (
@@ -212,6 +214,17 @@ class TestLpPayoff:
     def test_multimodal_mode_rejected(self):
         with pytest.raises(ValidationError):
             lp_payoff(FingerprintParams(mode="multimodal"), ONE)
+
+    @given(st.integers(WAD // 10, 10 * WAD), st.integers(WAD // 2, 2 * WAD))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_closed_form(self, price_raw, c_raw):
+        # V(p) = l (p + c - sqrt(p^2 + c^2)), c = 1 for the circle
+        price, c = F.from_raw(price_raw), F.from_raw(c_raw)
+        p = to_mp(price)
+        for params, c_mp in ((FingerprintParams(), 1),
+                             (FingerprintParams(mode="cemm", c=c), to_mp(c))):
+            want = to_mp(params.l) * (p + c_mp - mpmath.sqrt(p * p + c_mp * c_mp))
+            assert abs(lp_payoff(params, price).raw - want * WAD) <= 1
 
 
 class TestPayoffFingerprintConsistency:

@@ -26,6 +26,7 @@ from polarpool.fixed import (
     fp_cos,
     fp_div,
     fp_exp,
+    fp_hypot,
     fp_ln,
     fp_mul,
     fp_pow,
@@ -33,6 +34,7 @@ from polarpool.fixed import (
     fp_sqrt,
     fp_sqrt_diff_squares,
     fp_sub,
+    fp_unit,
 )
 
 mpmath.mp.dps = 40
@@ -154,6 +156,27 @@ class TestSqrt:
         assert fp_sqrt_diff_squares(ONE, ONE) == ZERO
         with pytest.raises(DomainError):
             fp_sqrt_diff_squares(ONE, F.from_raw(WAD + 1))
+
+    @given(st.integers(min_value=0, max_value=10 ** 21), st.integers(min_value=1, max_value=10 ** 21))
+    @settings(max_examples=300)
+    def test_hypot_and_unit_correctly_rounded(self, a_raw, b_raw):
+        a, b = F.from_raw(a_raw), F.from_raw(b_raw)
+        n = a_raw * a_raw + b_raw * b_raw
+        s = fp_hypot(a, b).raw
+        assert (2 * s - 1) ** 2 < 4 * n < (2 * s + 1) ** 2
+        # each component c WAD / sqrt(n) to the nearest grid point
+        for c, u in zip((a_raw, b_raw), fp_unit(a, b)):
+            target = 4 * c * c * WAD * WAD
+            assert u.raw == 0 or (2 * u.raw - 1) ** 2 * n < target
+            assert target < (2 * u.raw + 1) ** 2 * n
+
+    def test_unit_domain(self):
+        assert fp_unit(F(3), F(4)) == (F("0.6"), F("0.8"))
+        assert fp_unit(ZERO, F(7)) == (ZERO, ONE)
+        with pytest.raises(DomainError):
+            fp_unit(ZERO, ZERO)
+        with pytest.raises(DomainError):
+            fp_unit(F(-1), ONE)
 
     def test_monotone(self):
         rng = random.Random(7)

@@ -1,5 +1,7 @@
 """Hedge construction, position marking, and the binary payoff shape."""
 
+import sys
+
 import mpmath
 import pytest
 
@@ -57,6 +59,41 @@ class TestPositionValue:
             p = F.from_raw(p_lo.raw + span * k // 1000)
             chord = v_lo.raw + (v_hi.raw - v_lo.raw) * k // 1000
             assert position_value(CIRCLE, BAND, p).raw >= chord - 100
+
+
+class TestTrigFreeMarking:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # count the calls wherever an engine module binds the name
+        counts = {"fp_atan2": 0, "fp_sin_cos": 0}
+        modules = [m for name, m in sys.modules.items() if name.startswith("polarpool")]
+        for module in modules:
+            for name in counts:
+                fn = getattr(module, name, None)
+                if fn is None:
+                    continue
+
+                def counted(*args, _fn=fn, _name=name):
+                    counts[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_no_trig_per_price_sample(self, calls):
+        spec = HedgeSpec(F("0.95"), width_deg=F(1))
+        grid = price_grid("0.3", "1.8", 201)
+        wide = LpPosition("wide", F(10), F(30), F(3))
+        # the first marks put the band edges in the table
+        hedge_payoff(CIRCLE, spec, grid[:1])
+        position_value(CIRCLE, BAND, ONE)
+        position_value(CIRCLE, wide, ONE)
+        calls.update(fp_atan2=0, fp_sin_cos=0)
+        hedge_payoff(CIRCLE, spec, grid)
+        for price in grid:
+            position_value(CIRCLE, BAND, price)
+            position_value(CIRCLE, wide, price)
+        assert calls == {"fp_atan2": 0, "fp_sin_cos": 0}
 
 
 class TestBuildHedge:

@@ -10,9 +10,12 @@ from polarpool.errors import DomainError, ValidationError
 from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_sub
 from polarpool.invariant import CurveParams, PoolState
 from polarpool.polar import (
+    NINETY,
     PolarPoint,
     angle_of_state,
     angle_to_price,
+    arbitrage_point,
+    boundary_cos_sin,
     cartesian_to_polar,
     polar_swap_delta_y,
     polar_swap_exact_in,
@@ -112,6 +115,32 @@ class TestCartesianPolar:
     def test_angle_validation(self):
         with pytest.raises(ValidationError):
             PolarPoint(angle_deg=F(120), radius=ONE)
+
+
+class TestArcPoints:
+    def test_boundary_table_within_a_quantum(self):
+        # every 0.5-degree boundary against 50 digits; below 45 degrees the
+        # pair of 90 - b is the pair of b swapped, bit for bit
+        with mpmath.workdps(50):
+            for k in range(181):
+                raw = k * WAD // 2
+                cos_b, sin_b = boundary_cos_sin(raw)
+                rad = mpmath.radians(mpmath.mpf(raw) / WAD)
+                assert abs(cos_b.raw - mpmath.cos(rad) * WAD) <= 1
+                assert abs(sin_b.raw - mpmath.sin(rad) * WAD) <= 1
+                if k < 90:
+                    assert boundary_cos_sin(NINETY.raw - raw) == (sin_b, cos_b)
+        assert boundary_cos_sin(0) == (ONE, ZERO)
+        assert boundary_cos_sin(NINETY.raw) == (ZERO, ONE)
+
+    def test_arbitrage_point_is_the_unit_price_vector(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            price = F.from_raw(rng.randrange(WAD // 100, 100 * WAD))
+            cos_p, sin_p = arbitrage_point(price)
+            norm = mpmath.sqrt(1 + to_mp(price) ** 2)
+            assert abs(cos_p.raw - to_mp(price) / norm * WAD) <= 0.5
+            assert abs(sin_p.raw - WAD / norm) <= 0.5
 
 
 class TestAppendixRoutine:

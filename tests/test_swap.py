@@ -1,6 +1,7 @@
 """Cartesian swaps against the 40-digit oracle and each other."""
 
 import random
+from decimal import Context, Decimal
 
 import mpmath
 import pytest
@@ -49,6 +50,22 @@ class TestCcmmCurve:
             ccmm_y_of_x(CIRCLE, F(4))
         with pytest.raises(DomainError):
             ccmm_y_of_x(CIRCLE, F(-1))
+
+    def test_arc_end_correctly_rounded(self):
+        # y(x) = L - sqrt(L^2 - (L - x)^2) for x below 0.03, where the two
+        # squares nearly cancel, against 80 digits
+        ctx = Context(prec=80)
+        rng = random.Random(29)
+        for scale in (ONE, F("0.37"), F(3)):
+            offset = fp_mul(CIRCLE.l, scale)
+            big_l = ctx.divide(Decimal(offset.raw), WAD)
+            for _ in range(700):
+                x = F.from_raw(rng.randrange(1, 3 * WAD // 100))
+                d = ctx.subtract(big_l, ctx.divide(Decimal(x.raw), WAD))
+                exact = ctx.subtract(big_l, ctx.sqrt(ctx.subtract(ctx.multiply(big_l, big_l),
+                                                                  ctx.multiply(d, d))))
+                y = ccmm_y_of_x(CIRCLE, x, scale)
+                assert abs(ctx.subtract(ctx.multiply(exact, WAD), y.raw)) <= Decimal("0.5")
 
     def test_involution(self):
         # y(y(x)) = x within 1e-12 across the arc

@@ -19,6 +19,7 @@ from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sub
 from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
 from polarpool.polar import NINETY, polar_swap_exact_in, reserves_at_angle
 from polarpool.swap import pair_swap
+import polarpool.polar
 import polarpool.ticks
 from polarpool.ticks import (
     LpPosition,
@@ -521,15 +522,18 @@ class TestCarriedPairKernel:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # the boundary table is process-wide: start it empty so that first
+        # crossings count their real evaluations
+        polarpool.polar.boundary_cos_sin.cache_clear()
         counts = {"fp_sin_cos": 0, "fp_acos": 0}
-        for name in counts:
-            fn = getattr(polarpool.ticks, name)
+        for module, name in ((polarpool.polar, "fp_sin_cos"), (polarpool.ticks, "fp_acos")):
+            fn = getattr(module, name)
 
             def counted(*args, _fn=fn, _name=name):
                 counts[_name] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(polarpool.ticks, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     def test_one_segment_trade_takes_one_acos(self, calls):
@@ -544,10 +548,14 @@ class TestCarriedPairKernel:
     def test_boundary_pairs_computed_once_per_ledger(self, calls):
         # five unit ranges above 45 degrees on a full-range base: a trade
         # from 45 crosses 46, ..., 50 and ends below the arc end at 90
-        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, F(5)))
-        for k in range(5):
-            ledger = add_position(ledger, LpPosition(
-                f"r{k}", F(45 + k), F(46 + k), F(k + 1)))
+        def build():
+            ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, F(5)))
+            for k in range(5):
+                ledger = add_position(ledger, LpPosition(
+                    f"r{k}", F(45 + k), F(46 + k), F(k + 1)))
+            return ledger
+
+        ledger = build()
         x, y = reserves_at_angle(CIRCLE, F(45), F(6))
         state = PoolState(reserves=(x, y), liquidity_scale=F(6), angle_deg=F(45))
         result = swap_across_ticks(CIRCLE, ledger, state, 0, F(6))
@@ -558,4 +566,9 @@ class TestCarriedPairKernel:
         calls.update(fp_sin_cos=0, fp_acos=0)
         again = swap_across_ticks(CIRCLE, ledger, state, 0, F(6))
         assert again == result
+        assert calls == {"fp_sin_cos": 0, "fp_acos": 1}
+        # a fresh ledger with the same boundaries reads the same table
+        calls.update(fp_sin_cos=0, fp_acos=0)
+        fresh = swap_across_ticks(CIRCLE, build(), state, 0, F(6))
+        assert fresh == result
         assert calls == {"fp_sin_cos": 0, "fp_acos": 1}
