@@ -4,26 +4,23 @@ All public math in this package flows through :class:`FixedDecimal`, a
 signed integer count of 10^-18 units (18 fractional digits, the WAD
 convention used by on-chain math libraries). Floating point is banned from
 the engine because float transcendentals are not bit-reproducible across
-hardware and libm versions; everything here is integer arithmetic plus the
-stdlib ``decimal`` module, which is a software implementation with
-platform-independent results.
+hardware and libm versions; everything here is Python integer arithmetic,
+which reads no process-wide state (no rounding mode, precision or context),
+so identical inputs give identical outputs on any platform.
 
 Rounding is round-half-even at the 18th fractional digit everywhere, which
 keeps bias from accumulating over long swap sequences. Addition and
 subtraction are exact; multiplication and division round once.
 
-Transcendentals (sqrt, pow, ln, exp, sin, cos, atan2) are evaluated in a
-42-digit decimal working context and quantized once to the 18-digit grid,
-so the public results carry at most one final rounding. Relative accuracy
-against a high-precision reference is better than 1e-15 whenever the
-result is large enough for the 10^-18 grid to resolve it; tiny results are
-correct to the representation floor of one quantum.
+Square roots are exact integer roots, correctly rounded. The other
+transcendentals (pow, ln, exp, sin, cos, acos, atan2) sum integer series
+at a working scale of 10^-50 and round once to the 18-digit grid, so each
+result is the nearest grid point to the exact value unless that value
+lies within about 1e-30 quanta of a rounding boundary.
 """
 
 from __future__ import annotations
 
-from decimal import Context, Decimal, InvalidOperation, Overflow, ROUND_HALF_EVEN
-from functools import lru_cache
 from math import isqrt
 
 from .errors import DomainError, RangeError
@@ -53,7 +50,6 @@ __all__ = [
     "fp_sin",
     "fp_cos",
     "fp_sin_cos",
-    "fp_asin",
     "fp_acos",
     "fp_atan2",
 ]
@@ -66,17 +62,16 @@ WAD = 10 ** DECIMALS
 # is reported as overflow, never wrapped.
 MAX_RAW = 10 ** (DECIMALS + 20)
 
-# Working context for transcendental evaluation. 42 significant digits keep
-# intermediate error at least 20 digits below the output grid.
-_PREC = 42
-_CTX = Context(prec=_PREC, rounding=ROUND_HALF_EVEN, Emin=-425, Emax=425)
-# Working context of the inverse trigonometric functions.
-_TRIG_CTX = Context(prec=_PREC + 10, rounding=ROUND_HALF_EVEN, Emin=-999, Emax=999)
-_QUANTUM = Decimal(1).scaleb(-DECIMALS)
+# Working scale of the transcendental series: 10^-50 units.
+_DIGITS = 50
+_ONE = 10 ** _DIGITS
+_UP = 10 ** (_DIGITS - DECIMALS)
 
-# pi to 111 digits; enough guard digits to reduce any in-range angle.
-_PI_STR = (
-    "3.14159265358979323846264338327950288419716939937510"
+# pi to 110 fractional digits, as the integer pi * 10^110; enough guard
+# digits to reduce any in-range angle.
+_PI_DIGITS = 110
+_PI_RAW = int(
+    "314159265358979323846264338327950288419716939937510"
     "582097494459230781640628620899862803482534211706798214808651"
 )
 
@@ -305,37 +300,81 @@ def _nearest_isqrt(n: int, d: int = 1) -> int:
     return s
 
 
-# -- decimal bridge -------------------------------------------------------
+# -- transcendentals ------------------------------------------------------
+#
+# Integer series at one working scale, _ONE = 10^50 units per 1: 32 digits
+# below the output grid, so the truncations of a series (a few dozen units of
+# 10^-50) never reach the final half-even rounding to 18 digits except when
+# the exact value lies within about 1e-30 quanta of a rounding boundary.
 
 
-def _to_dec(a: FixedDecimal) -> Decimal:
-    return Decimal(a.raw).scaleb(-DECIMALS)
+def _scaled(a: FixedDecimal) -> int:
+    return a.raw * _UP
 
 
-def _from_dec(d: Decimal) -> FixedDecimal:
-    try:
-        q = d.quantize(_QUANTUM, rounding=ROUND_HALF_EVEN, context=_CTX)
-    except InvalidOperation:
-        raise RangeError("fixed-point overflow: |value| exceeds 1e20") from None
-    sign, digits, exp = q.as_tuple()
-    raw = int("".join(map(str, digits))) * 10 ** (exp + DECIMALS)
-    return FixedDecimal.from_raw(-raw if sign else raw)
+def _from_scaled(v: int) -> FixedDecimal:
+    return FixedDecimal.from_raw(_round_div(v, _UP))
+
+
+def _odd_series(x: int, sign: int) -> int:
+    """Sum of sign^j x^(2j+1) / (2j+1) for 0 <= x < _ONE, at scale _ONE.
+
+    With sign -1 that is atan x, with sign +1 atanh x.
+    """
+    x2 = x * x // _ONE
+    total, power, k, s = 0, x, 1, 1
+    while power:
+        total += s * (power // k)
+        power = power * x2 // _ONE
+        k += 2
+        s *= sign
+    return total
+
+
+_PI = _round_div(_PI_RAW, 10 ** (_PI_DIGITS - _DIGITS))
+_HALF_PI = _round_div(_PI_RAW, 2 * 10 ** (_PI_DIGITS - _DIGITS))
+_LN2 = 2 * _odd_series(_ONE // 3, 1)  # ln 2 = 2 atanh(1/3)
+
+
+def _ln(a: int) -> int:
+    """ln(a / _ONE) for an integer a > 0, at scale _ONE."""
+    # a = m / p * 2^k with m / p in [1/sqrt 2, sqrt 2]; bit lengths put the
+    # ratio in (1/2, 2) and one doubling folds it into that interval
+    k = a.bit_length() - _ONE.bit_length()
+    m, p = (a, _ONE << k) if k >= 0 else (a << -k, _ONE)
+    if 2 * m * m < p * p:
+        m, k = 2 * m, k - 1
+    elif m * m > 2 * p * p:
+        p, k = 2 * p, k + 1
+    # ln(m / p) = 2 atanh((m - p) / (m + p)), with |(m - p) / (m + p)| < 0.18
+    z = 2 * _odd_series(abs(m - p) * _ONE // (m + p), 1)
+    return k * _LN2 + (z if m >= p else -z)
+
+
+def _exp(x: int) -> int:
+    """exp(x / _ONE) at scale _ONE; RangeError above the representable range."""
+    # e^47 > 1e20: checked before the shift, so no huge 2^k is ever built
+    if x > 47 * _ONE:
+        raise RangeError("fixed-point overflow: |value| exceeds 1e20")
+    k, r = divmod(x, _LN2)  # x = k ln 2 + r, 0 <= r < ln 2
+    total, term, n = 0, _ONE, 0
+    while term:
+        total += term
+        n += 1
+        term = term * r // (n * _ONE)
+    return total << k if k >= 0 else total >> -k
 
 
 def fp_ln(a: FixedDecimal) -> FixedDecimal:
     """Natural logarithm; positive arguments only."""
     if a.raw <= 0:
         raise DomainError("ln of non-positive value")
-    return _from_dec(_to_dec(a).ln(context=_CTX))
+    return _from_scaled(_ln(_scaled(a)))
 
 
 def fp_exp(a: FixedDecimal) -> FixedDecimal:
     """Exponential; overflows for arguments above ~46.05 (result > 1e20)."""
-    try:
-        d = _to_dec(a).exp(context=_CTX)
-    except Overflow:
-        raise RangeError("exp overflow") from None
-    return _from_dec(d)
+    return _from_scaled(_exp(_scaled(a)))
 
 
 def fp_pow(base: FixedDecimal, exponent: FixedDecimal) -> FixedDecimal:
@@ -343,7 +382,8 @@ def fp_pow(base: FixedDecimal, exponent: FixedDecimal) -> FixedDecimal:
 
     Integer exponents use repeated squaring on the grid (exact within
     rounding) and accept any sign of base. Fractional exponents require
-    base > 0 and evaluate exp(exponent * ln(base)) in the working context.
+    base > 0 and evaluate exp(exponent * ln(base)) at the working scale,
+    with one final rounding.
     """
     if exponent.is_integer():
         n = exponent.raw // WAD
@@ -369,59 +409,30 @@ def fp_pow(base: FixedDecimal, exponent: FixedDecimal) -> FixedDecimal:
         if exponent.raw < 0:
             raise DomainError("0 raised to a negative power")
         return ZERO
-    try:
-        d = _CTX.exp(_CTX.multiply(_to_dec(exponent), _CTX.ln(_to_dec(base))))
-    except Overflow:
-        raise RangeError("pow overflow") from None
-    return _from_dec(d)
+    return _from_scaled(_exp(_scaled(exponent) * _ln(_scaled(base)) // _ONE))
 
 
 # -- trigonometry ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _pi(prec: int) -> Decimal:
-    return Context(prec=prec).plus(Decimal(_PI_STR))
-
-
-def _sin_cos_taylor(r: Decimal, ctx: Context) -> tuple[Decimal, Decimal]:
-    """sin and cos of |r| <= pi/4 by Taylor series in the given context."""
-    eps = Decimal(1).scaleb(-(ctx.prec + 4))
-    r2 = ctx.multiply(r, r)
-    # sin
-    s = r
-    term = r
-    k = 1
-    while True:
-        term = ctx.divide(ctx.multiply(term, -r2), Decimal((k + 1) * (k + 2)))
-        if abs(term) < eps:
-            break
-        s = ctx.add(s, term)
-        k += 2
-    # cos
-    c = Decimal(1)
-    term = Decimal(1)
-    k = 0
-    while True:
-        term = ctx.divide(ctx.multiply(term, -r2), Decimal((k + 1) * (k + 2)))
-        if abs(term) < eps:
-            break
-        c = ctx.add(c, term)
-        k += 2
-    return s, c
-
-
-def _sin_cos(a: FixedDecimal) -> tuple[Decimal, Decimal]:
-    d = _to_dec(a)
-    # boost precision by the integer magnitude so argument reduction keeps
-    # ~40 accurate digits even for large angles
-    extra = max(0, d.adjusted() + 1)
-    ctx = Context(prec=_PREC + extra + 10, rounding=ROUND_HALF_EVEN,
-                  Emin=-999, Emax=999)
-    half_pi = ctx.divide(_pi(ctx.prec), Decimal(2))
-    n = int(ctx.divide(d, half_pi).to_integral_value(rounding=ROUND_HALF_EVEN))
-    r = ctx.subtract(d, ctx.multiply(Decimal(n), half_pi))
-    s, c = _sin_cos_taylor(r, ctx)
+def _sin_cos(a: FixedDecimal) -> tuple[int, int]:
+    """sin a and cos a at scale _ONE."""
+    # a = n pi/2 + r with |r| <= pi/4, reduced at pi's full 110 digits so
+    # that n pi/2 stays exact to far below the working scale up to |a| = 1e20
+    twice = a.raw * 2 * 10 ** (_PI_DIGITS - DECIMALS)
+    n = _round_div(twice, _PI_RAW)
+    r = _round_div(twice - n * _PI_RAW, 2 * 10 ** (_PI_DIGITS - _DIGITS))
+    # one Taylor loop over |r|^k / k!: even powers build cos, odd powers sin
+    x = abs(r)
+    parts = [0, 0]
+    term, k = _ONE, 0
+    while term:
+        parts[k & 1] += -term if k & 2 else term
+        k += 1
+        term = term * x // (k * _ONE)
+    c, s = parts
+    if r < 0:
+        s = -s
     quadrant = n & 3
     if quadrant == 0:
         return s, c
@@ -434,102 +445,53 @@ def _sin_cos(a: FixedDecimal) -> tuple[Decimal, Decimal]:
 
 def fp_sin(a: FixedDecimal) -> FixedDecimal:
     """Sine of an angle in radians."""
-    return _from_dec(_sin_cos(a)[0])
+    return _from_scaled(_sin_cos(a)[0])
 
 
 def fp_cos(a: FixedDecimal) -> FixedDecimal:
     """Cosine of an angle in radians."""
-    return _from_dec(_sin_cos(a)[1])
+    return _from_scaled(_sin_cos(a)[1])
 
 
 def fp_sin_cos(a: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
     """Sine and cosine together, sharing one argument reduction."""
     s, c = _sin_cos(a)
-    return _from_dec(s), _from_dec(c)
+    return _from_scaled(s), _from_scaled(c)
 
 
-def _atan_dec(t: Decimal) -> Decimal:
-    """arctan for a Decimal, any magnitude, in the inverse-trig context."""
-    ctx = _TRIG_CTX
-    sign = -1 if t < 0 else 1
-    t = abs(t)
-    half_pi = ctx.divide(_pi(ctx.prec), Decimal(2))
-    invert = t > 1
-    if invert:
-        t = ctx.divide(Decimal(1), t)
-    # halve the argument until small enough for fast Taylor convergence
+def _angle(y: int, x: int) -> int:
+    """atan2(y, x) at scale _ONE, for integers at one common scale, not both 0."""
+    ay, ax = abs(y), abs(x)
+    # atan of a ratio t in [0, 1]; t > 1 reads pi/2 - atan(1 / t)
+    t = min(ay, ax) * _ONE // max(ay, ax)
+    # halve the angle, tan(b / 2) = t / (1 + sqrt(1 + t^2)), until the series
+    # converges fast
     halvings = 0
-    while t > Decimal("0.1"):
-        t = ctx.divide(
-            t, ctx.add(Decimal(1), ctx.sqrt(ctx.add(Decimal(1), ctx.multiply(t, t))))
-        )
+    while t > _ONE // 10:
+        t = t * _ONE // (_ONE + isqrt(_ONE * _ONE + t * t))
         halvings += 1
-    eps = Decimal(1).scaleb(-(ctx.prec + 4))
-    t2 = ctx.multiply(t, t)
-    total = t
-    term = t
-    k = 1
-    while True:
-        term = ctx.multiply(term, -t2)
-        k += 2
-        contrib = ctx.divide(term, Decimal(k))
-        if abs(contrib) < eps:
-            break
-        total = ctx.add(total, contrib)
-    result = ctx.multiply(total, Decimal(2 ** halvings))
-    if invert:
-        result = ctx.subtract(half_pi, result)
-    return -result if sign < 0 else result
+    angle = _odd_series(t, -1) << halvings
+    if ay > ax:
+        angle = _HALF_PI - angle
+    if x < 0:
+        angle = _PI - angle
+    return -angle if y < 0 else angle
 
 
 def fp_atan2(y: FixedDecimal, x: FixedDecimal) -> FixedDecimal:
     """Two-argument arctangent in radians, standard quadrant convention."""
-    ctx = _TRIG_CTX
-    pi_d = _pi(ctx.prec)
     if x.raw == 0 and y.raw == 0:
         raise DomainError("atan2(0, 0) is undefined")
-    if x.raw == 0:
-        half = ctx.divide(pi_d, Decimal(2))
-        return _from_dec(half if y.raw > 0 else -half)
-    base = _atan_dec(ctx.divide(_to_dec(y), _to_dec(x)))
-    if x.raw > 0:
-        return _from_dec(base)
-    if y.raw >= 0:
-        return _from_dec(ctx.add(base, pi_d))
-    return _from_dec(ctx.subtract(base, pi_d))
-
-
-def fp_asin(a: FixedDecimal) -> FixedDecimal:
-    """Inverse sine in radians for |a| <= 1."""
-    if abs(a.raw) > WAD:
-        raise DomainError("asin argument outside [-1, 1]")
-    ctx = _TRIG_CTX
-    d = _to_dec(a)
-    if abs(a.raw) == WAD:
-        half = ctx.divide(_pi(ctx.prec), Decimal(2))
-        return _from_dec(half if a.raw > 0 else -half)
-    root = ctx.sqrt(ctx.subtract(Decimal(1), ctx.multiply(d, d)))
-    return _from_dec(_atan_dec(ctx.divide(d, root)))
+    return _from_scaled(_angle(y.raw, x.raw))
 
 
 def fp_acos(a: FixedDecimal) -> FixedDecimal:
     """Inverse cosine in radians for |a| <= 1."""
     if abs(a.raw) > WAD:
         raise DomainError("acos argument outside [-1, 1]")
-    ctx = _TRIG_CTX
-    d = _to_dec(a)
-    pi_d = _pi(ctx.prec)
-    if a.raw == WAD:
-        return ZERO
-    if a.raw == -WAD:
-        return _from_dec(pi_d)
-    if a.raw == 0:
-        return _from_dec(ctx.divide(pi_d, Decimal(2)))
-    root = ctx.sqrt(ctx.subtract(Decimal(1), ctx.multiply(d, d)))
-    base = _atan_dec(ctx.divide(root, d))
-    if a.raw < 0:
-        base = ctx.add(base, pi_d)
-    return _from_dec(base)
+    # atan2(sqrt(1 - a^2), a), the root from the exact radicand
+    root = isqrt((WAD * WAD - a.raw * a.raw) * _UP * _UP)
+    return _from_scaled(_angle(root, _scaled(a)))
 
 
 # -- constants ------------------------------------------------------------
@@ -537,7 +499,7 @@ def fp_acos(a: FixedDecimal) -> FixedDecimal:
 ZERO = FixedDecimal(0)
 ONE = FixedDecimal(1)
 TWO = FixedDecimal(2)
-PI = _from_dec(Decimal(_PI_STR))
-HALF_PI = _from_dec(_CTX.divide(Decimal(_PI_STR), Decimal(2)))
+PI = _from_scaled(_PI)
+HALF_PI = _from_scaled(_HALF_PI)
 SQRT2 = fp_sqrt(TWO)
-LN2 = fp_ln(TWO)
+LN2 = _from_scaled(_LN2)

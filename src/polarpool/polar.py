@@ -30,7 +30,6 @@ from .fixed import (
     fp_acos,
     fp_add,
     fp_atan2,
-    fp_cos,
     fp_div,
     fp_mul,
     fp_sin,
@@ -119,9 +118,9 @@ def reserves_at_angle(params: CurveParams, angle_deg: FixedDecimal,
                       scale: FixedDecimal = ONE) -> tuple[FixedDecimal, FixedDecimal]:
     """Arc point (x, y) at the given angle."""
     offset = fp_mul(params.l, scale)
-    rad = deg_to_rad(angle_deg)
-    x = fp_sub(offset, fp_mul(offset, fp_cos(rad)))
-    y = fp_sub(offset, fp_mul(offset, fp_sin(rad)))
+    sin_a, cos_a = fp_sin_cos(deg_to_rad(angle_deg))
+    x = fp_sub(offset, fp_mul(offset, cos_a))
+    y = fp_sub(offset, fp_mul(offset, sin_a))
     return x, y
 
 
@@ -151,9 +150,9 @@ def polar_to_cartesian(params: CurveParams, point: PolarPoint,
                        scale: FixedDecimal = ONE) -> tuple[FixedDecimal, FixedDecimal]:
     """Reserve point of a polar coordinate (inverse of cartesian_to_polar)."""
     offset = fp_mul(params.l, scale)
-    rad = deg_to_rad(point.angle_deg)
-    x = fp_sub(offset, fp_mul(point.radius, fp_cos(rad)))
-    y = fp_sub(offset, fp_mul(point.radius, fp_sin(rad)))
+    sin_a, cos_a = fp_sin_cos(deg_to_rad(point.angle_deg))
+    x = fp_sub(offset, fp_mul(point.radius, cos_a))
+    y = fp_sub(offset, fp_mul(point.radius, sin_a))
     return x, y
 
 
@@ -177,8 +176,9 @@ def polar_swap_delta_y(params: CurveParams, x_in: FixedDecimal) -> FixedDecimal:
     l_scaled = fp_mul(params.l, F(10000))
     radians_45 = fp_div(PI, F(4))
     radians_135 = fp_mul(F(3), radians_45)
-    l_cos = fp_mul(l_scaled, fp_cos(radians_135))
-    l_sin = fp_mul(l_scaled, fp_sin(radians_135))
+    sin_135, cos_135 = fp_sin_cos(radians_135)
+    l_cos = fp_mul(l_scaled, cos_135)
+    l_sin = fp_mul(l_scaled, sin_135)
     ratio = fp_div(fp_sub(l_sin, x_in), l_scaled)
     radicand = fp_sub(ONE, fp_mul(ratio, ratio))
     if radicand < ZERO:

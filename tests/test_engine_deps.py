@@ -8,13 +8,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ENGINE = ROOT / "src" / "polarpool"
 
 
-def test_pyproject_declares_no_dependencies():
-    lines = (ROOT / "pyproject.toml").read_text().splitlines()
-    declared = [line.strip() for line in lines if line.strip().startswith("dependencies")]
-    assert declared == ["dependencies = []"]
-
-
-def test_engine_imports_are_stdlib_or_relative():
+def engine_imports():
+    """(module file name, imported absolute module name) of every engine import."""
     modules = sorted(ENGINE.glob("*.py"))
     assert modules
     for path in modules:
@@ -27,5 +22,22 @@ def test_engine_imports_are_stdlib_or_relative():
             else:
                 continue
             for name in names:
-                top = name.partition(".")[0]
-                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+                yield path.name, name
+
+
+def test_pyproject_declares_no_dependencies():
+    lines = (ROOT / "pyproject.toml").read_text().splitlines()
+    declared = [line.strip() for line in lines if line.strip().startswith("dependencies")]
+    assert declared == ["dependencies = []"]
+
+
+def test_engine_imports_are_stdlib_or_relative():
+    for file_name, name in engine_imports():
+        top = name.partition(".")[0]
+        assert top in sys.stdlib_module_names, f"{file_name} imports {name}"
+
+
+def test_engine_does_not_import_decimal():
+    # decimal rounds by a thread-wide context; the engine computes in integers
+    for file_name, name in engine_imports():
+        assert name.partition(".")[0] != "decimal", f"{file_name} imports {name}"

@@ -4,6 +4,8 @@ Floats and mpmath live only here, as the independent oracle; the engine
 itself never touches them.
 """
 
+import decimal
+import importlib.util
 import random
 
 import mpmath
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarpool import fixed
 from polarpool.errors import DomainError, RangeError
 from polarpool.fixed import (
     WAD,
@@ -21,7 +24,6 @@ from polarpool.fixed import (
     ZERO,
     fp_acos,
     fp_add,
-    fp_asin,
     fp_atan2,
     fp_cos,
     fp_div,
@@ -31,6 +33,7 @@ from polarpool.fixed import (
     fp_mul,
     fp_pow,
     fp_sin,
+    fp_sin_cos,
     fp_sqrt,
     fp_sqrt_diff_squares,
     fp_sub,
@@ -54,7 +57,29 @@ def assert_close_to_reference(got: FixedDecimal, reference: mpmath.mpf,
     assert err <= bound, f"{got} vs {mpmath.nstr(reference, 25)}: err {err}"
 
 
+def assert_correctly_rounded(got: FixedDecimal, exact):
+    """``got`` is the grid point nearest ``exact``: within 0.5 quanta, plus
+    1e-6 quanta for the reference's own error."""
+    err = abs(mpmath.mpf(got.raw) - exact * WAD)
+    assert err <= mpmath.mpf("0.500001"), f"{got}: {mpmath.nstr(err, 8)} quanta off"
+
+
 raw_values = st.integers(min_value=-(10 ** 24), max_value=10 ** 24)
+
+
+# raws of every length from lo to hi digits; plain st.integers favours
+# small magnitudes
+def spread_raws(lo: int, hi: int):
+    return st.integers(min_value=lo, max_value=hi).flatmap(
+        lambda e: st.integers(min_value=10 ** (e - 1), max_value=10 ** e - 1))
+
+
+def signed(raws):
+    return st.tuples(st.sampled_from((-1, 1)), raws).map(lambda t: t[0] * t[1])
+
+
+# ln(1e20) = 46.05170185988091368036; one quantum above, exp exceeds 1e20
+EXP_EDGE = 46051701859880913680
 
 
 class TestBasicArithmetic:
@@ -306,7 +331,6 @@ class TestTrig:
         for _ in range(300):
             raw = rng.randrange(-WAD, WAD + 1)
             a = F.from_raw(raw)
-            assert_close_to_reference(fp_asin(a), mpmath.asin(to_mp(a)), rel=1e-14, ulps=2)
             assert_close_to_reference(fp_acos(a), mpmath.acos(to_mp(a)), rel=1e-14, ulps=2)
         for _ in range(300):
             y = F.from_raw(rng.randrange(-5 * WAD, 5 * WAD))
@@ -316,6 +340,71 @@ class TestTrig:
             assert_close_to_reference(
                 fp_atan2(y, x), mpmath.atan2(to_mp(y), to_mp(x)), rel=1e-14, ulps=2
             )
+
+
+class TestCorrectRounding:
+    """Each transcendental against 60-digit mpmath over its full range."""
+
+    @given(signed(spread_raws(1, 38)))
+    @settings(max_examples=300)
+    def test_sin_cos(self, raw):
+        a = F.from_raw(raw)
+        s, c = fp_sin_cos(a)
+        with mpmath.workdps(60):
+            assert_correctly_rounded(s, mpmath.sin(to_mp(a)))
+            assert_correctly_rounded(c, mpmath.cos(to_mp(a)))
+        assert (fp_sin(a), fp_cos(a)) == (s, c)
+
+    @given(signed(spread_raws(1, 18)))
+    @settings(max_examples=300)
+    def test_acos(self, raw):
+        a = F.from_raw(raw)
+        with mpmath.workdps(60):
+            assert_correctly_rounded(fp_acos(a), mpmath.acos(to_mp(a)))
+
+    @given(signed(spread_raws(1, 38)), signed(spread_raws(1, 38)))
+    @settings(max_examples=300)
+    def test_atan2(self, y_raw, x_raw):
+        y, x = F.from_raw(y_raw), F.from_raw(x_raw)
+        with mpmath.workdps(60):
+            assert_correctly_rounded(fp_atan2(y, x), mpmath.atan2(to_mp(y), to_mp(x)))
+
+    @given(spread_raws(1, 38))
+    @settings(max_examples=300)
+    def test_ln(self, raw):
+        a = F.from_raw(raw)
+        with mpmath.workdps(60):
+            assert_correctly_rounded(fp_ln(a), mpmath.log(to_mp(a)))
+
+    @given(signed(spread_raws(1, 20)).filter(lambda raw: raw <= EXP_EDGE))
+    @settings(max_examples=300)
+    def test_exp(self, raw):
+        a = F.from_raw(raw)
+        with mpmath.workdps(60):
+            assert_correctly_rounded(fp_exp(a), mpmath.exp(to_mp(a)))
+
+    def test_exp_overflow_edge(self):
+        with mpmath.workdps(60):
+            assert_correctly_rounded(fp_exp(F.from_raw(EXP_EDGE)),
+                                     mpmath.exp(mpmath.mpf(EXP_EDGE) / WAD))
+        with pytest.raises(RangeError):
+            fp_exp(F.from_raw(EXP_EDGE + 1))
+
+    @given(spread_raws(17, 20),
+           signed(spread_raws(1, 19)).filter(lambda e: abs(e) <= 3 * WAD and e % WAD))
+    @settings(max_examples=300)
+    def test_fractional_pow(self, base_raw, exponent_raw):
+        b, e = F.from_raw(base_raw), F.from_raw(exponent_raw)
+        with mpmath.workdps(60):
+            assert_correctly_rounded(fp_pow(b, e), mpmath.power(to_mp(b), to_mp(e)))
+
+    def test_overflow_raised_before_any_huge_power(self):
+        with pytest.raises(RangeError):
+            fp_exp(F(10 ** 19))
+        with pytest.raises(RangeError):
+            fp_pow(F(10 ** 10), F(10 ** 9))
+        with pytest.raises(RangeError):
+            fp_pow(F(10 ** 10), F("1000000000.5"))
 
 
 class TestDeterminism:
@@ -335,3 +424,29 @@ class TestDeterminism:
         assert fp_cos(ONE).raw == 540302305868139717
         assert fp_pow(TWO, F("0.5")).raw == 1414213562373095049
         assert PI.raw == 3141592653589793238
+
+    def test_results_ignore_the_thread_decimal_context(self):
+        # a lowered decimal precision changes no raw, neither of a call nor
+        # of a constant computed at import
+        def raws(fx):
+            G = fx.FixedDecimal
+            return [fx.fp_acos(G("0.3")).raw, fx.fp_atan2(G("0.3"), G("0.9")).raw,
+                    fx.fp_ln(G("123456.123456789123456789")).raw,
+                    *(v.raw for v in fx.fp_sin_cos(G("0.123456789123456789"))),
+                    fx.fp_exp(G("12.345678901234567891")).raw,
+                    fx.fp_pow(G("1.234567890123456789"), G("2.5")).raw,
+                    fx.fp_cos(G("123456.789")).raw, fx.PI.raw, fx.LN2.raw]
+
+        want = raws(fixed)
+        ctx = decimal.getcontext()
+        saved = ctx.prec
+        ctx.prec = 12
+        try:
+            spec = importlib.util.spec_from_file_location("polarpool._fixed_at_prec12",
+                                                          fixed.__file__)
+            fresh = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(fresh)
+            assert raws(fixed) == want
+            assert raws(fresh) == want
+        finally:
+            ctx.prec = saved

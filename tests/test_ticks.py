@@ -558,6 +558,8 @@ class TestCarriedPairKernel:
         ledger = build()
         x, y = reserves_at_angle(CIRCLE, F(45), F(6))
         state = PoolState(reserves=(x, y), liquidity_scale=F(6), angle_deg=F(45))
+        # reserves_at_angle reads its point through the counted fp_sin_cos
+        calls.update(fp_sin_cos=0, fp_acos=0)
         result = swap_across_ticks(CIRCLE, ledger, state, 0, F(6))
         crossed = len(result.segments) - 1
         assert crossed == 5 and result.segments[-1].angle_from_deg == F(50)
