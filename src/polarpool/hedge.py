@@ -32,7 +32,7 @@ from .fixed import (
 )
 from .invariant import CurveParams
 from .polar import NINETY, arbitrage_point, boundary_cos_sin, price_to_angle
-from .ticks import LpPosition, TickLedger, add_position
+from .ticks import LpPosition, TickGrid, TickLedger, add_position
 
 F = FixedDecimal
 
@@ -149,7 +149,11 @@ def build_hedge(params: CurveParams, ledger: TickLedger,
 
 
 class _LegMark:
-    """A band's edge points, for fast repeated valuation."""
+    """A band's edge points, for fast repeated valuation.
+
+    Reads only the bounds and the liquidity: a short leg marks as the claim
+    it holds, and spreads subtract it.
+    """
 
     def __init__(self, params: CurveParams, position: LpPosition):
         self.lam_l = fp_mul(position.liquidity, params.l)
@@ -186,18 +190,10 @@ def hedge_payoff(params: CurveParams, spec: HedgeSpec, price_grid,
     with matched inventories (zero). The affine normalization maps them
     to 0 and 1 respectively.
     """
-    from .ticks import TickGrid
-
     grid = grid or TickGrid()
     long_leg, short_leg = hedge_legs(params, grid, spec)
-    short_as_long = LpPosition(
-        id="short-mark",
-        lower_deg=short_leg.lower_deg,
-        upper_deg=short_leg.upper_deg,
-        liquidity=short_leg.liquidity,
-    )
     long_mark = _LegMark(params, long_leg)
-    short_mark = _LegMark(params, short_as_long)
+    short_mark = _LegMark(params, short_leg)
     _, y_long = long_mark.full_amounts()
     _, y_short = short_mark.full_amounts()
     no_depeg_level = fp_sub(y_long, y_short)

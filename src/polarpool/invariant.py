@@ -104,9 +104,11 @@ class CurveParams:
 class PoolState:
     """Reserve vector plus the active liquidity scale.
 
-    ``angle_deg`` caches the polar angle of two-token states so tick
-    traversal does not have to re-derive it; it is None for pools that
-    have never been swapped through the polar route.
+    ``angle_deg`` caches the polar angle of two-token circular states so
+    tick traversal does not have to re-derive it. ``init`` sets it for
+    two-token circular pools and a tick-route commit sets it; a Cartesian
+    or polar commit clears it to None, and the angle is then derived from
+    the reserves.
     """
 
     reserves: tuple[FixedDecimal, ...]

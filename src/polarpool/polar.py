@@ -1,4 +1,4 @@
-"""Polar-coordinate swap path and price/angle conversion.
+"""Polar-coordinate swap route and price/angle conversion.
 
 A two-token circular pool is an arc of the circle centered at (L, L) with
 radius L = l * scale. Points on the trading arc are parameterized by the
@@ -14,38 +14,35 @@ and is inverted by price = 90 / phi - 1.
 
 Degrees are the public angle unit; radians appear only inside the
 trigonometric calls.
+
+The polar route rotates the reserve point along the arc. The rotation that
+adds ``delta`` to the in-reserve ends where the pair circle meets the new
+in-reserve, so its out-reserve is the square root the appendix routine
+takes, L sqrt(1 - ratio^2): the route runs the pair-circle step of
+``swap.pair_swap``, correctly rounded, and forms no angle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InsufficientLiquidityError, RangeError, ValidationError
+from .errors import DomainError, RangeError, ValidationError
 from .fixed import (
     FixedDecimal,
     ONE,
     PI,
     ZERO,
-    fp_acos,
     fp_add,
     fp_atan2,
     fp_div,
     fp_mul,
-    fp_sin,
     fp_sin_cos,
     fp_sqrt,
     fp_sub,
     fp_unit,
 )
-from .invariant import (
-    CurveParams,
-    ON_CURVE_TOLERANCE,
-    PoolState,
-    invariant_residual,
-    spot_price,
-)
-from .swap import SwapQuote, effective_pair_circle
+from .invariant import CurveParams, ON_CURVE_TOLERANCE, PoolState
+from .swap import SwapQuote, pair_swap
 
 F = FixedDecimal
 
@@ -60,18 +57,6 @@ def deg_to_rad(angle_deg: FixedDecimal) -> FixedDecimal:
 
 def rad_to_deg(angle_rad: FixedDecimal) -> FixedDecimal:
     return fp_mul(angle_rad, DEG_PER_RAD)
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """Angle in degrees within [0, 90] plus distance from the arc center."""
-
-    angle_deg: FixedDecimal
-    radius: FixedDecimal
-
-    def __post_init__(self):
-        if self.angle_deg < ZERO or self.angle_deg > NINETY:
-            raise ValidationError("angle must lie in [0, 90] degrees")
 
 
 @lru_cache(maxsize=None)
@@ -125,8 +110,8 @@ def reserves_at_angle(params: CurveParams, angle_deg: FixedDecimal,
 
 
 def cartesian_to_polar(params: CurveParams, x: FixedDecimal, y: FixedDecimal,
-                       scale: FixedDecimal = ONE) -> PolarPoint:
-    """Angle and radius of an on-curve reserve point.
+                       scale: FixedDecimal = ONE) -> FixedDecimal:
+    """Angle in degrees of an on-curve reserve point.
 
     Rejects points whose distance from the center deviates from L by more
     than the on-curve tolerance.
@@ -140,20 +125,8 @@ def cartesian_to_polar(params: CurveParams, x: FixedDecimal, y: FixedDecimal,
     if abs(fp_sub(radius, offset)) > ON_CURVE_TOLERANCE:
         raise DomainError("off-curve point: radius deviates from l*scale")
     if dx.is_zero():
-        angle = NINETY
-    else:
-        angle = rad_to_deg(fp_atan2(dy, dx))
-    return PolarPoint(angle_deg=angle, radius=radius)
-
-
-def polar_to_cartesian(params: CurveParams, point: PolarPoint,
-                       scale: FixedDecimal = ONE) -> tuple[FixedDecimal, FixedDecimal]:
-    """Reserve point of a polar coordinate (inverse of cartesian_to_polar)."""
-    offset = fp_mul(params.l, scale)
-    sin_a, cos_a = fp_sin_cos(deg_to_rad(point.angle_deg))
-    x = fp_sub(offset, fp_mul(point.radius, cos_a))
-    y = fp_sub(offset, fp_mul(point.radius, sin_a))
-    return x, y
+        return NINETY
+    return rad_to_deg(fp_atan2(dy, dx))
 
 
 def angle_of_state(params: CurveParams, state: PoolState) -> FixedDecimal:
@@ -161,7 +134,7 @@ def angle_of_state(params: CurveParams, state: PoolState) -> FixedDecimal:
     if state.angle_deg is not None:
         return state.angle_deg
     x, y = state.reserves
-    return cartesian_to_polar(params, x, y, state.liquidity_scale).angle_deg
+    return cartesian_to_polar(params, x, y, state.liquidity_scale)
 
 
 def polar_swap_delta_y(params: CurveParams, x_in: FixedDecimal) -> FixedDecimal:
@@ -189,45 +162,16 @@ def polar_swap_delta_y(params: CurveParams, x_in: FixedDecimal) -> FixedDecimal:
 def polar_swap_exact_in(params: CurveParams, state: PoolState, token_in: int,
                         delta_in: FixedDecimal,
                         token_out: int | None = None) -> SwapQuote:
-    """Swap by rotating the reserve point along the arc (clean polar route).
+    """Swap by rotating the reserve point along the arc (polar route).
 
-    Same trade semantics as the Cartesian route, but the new reserve pair
-    comes from the angle: consume the input reserve, recover the new pair
-    angle through acos, and read the output reserve off the sine. Pools
-    with more than two tokens reduce to the pair circle first.
+    Same trade semantics as the Cartesian route, on circular pools only.
+    The rotation's out-reserve is the pair circle's square root at the new
+    in-reserve, which :func:`swap.pair_swap` computes correctly rounded, so
+    this route and the Cartesian one quote the same amounts bit for bit.
+    Pools with more than two tokens rotate on the pair circle.
     """
     if params.mode != "ccmm":
         raise ValidationError("polar route needs a circular pool")
-    if token_out is None:
-        if params.n != 2:
-            raise ValidationError("token_out required for pools with n > 2")
-        token_out = 1 - token_in
     if delta_in < ZERO:
         raise ValidationError("delta_in must be non-negative")
-    i, j = token_in, token_out
-    offset, radius = effective_pair_circle(params, state, i, j)
-    reserves = list(state.reserves)
-    in_new = fp_add(reserves[i], delta_in)
-    if in_new > offset:
-        raise InsufficientLiquidityError(
-            "insufficient liquidity: rotation passes the axis endpoint"
-        )
-    z = fp_div(fp_sub(offset, in_new), radius)
-    if z > ONE:
-        raise DomainError("reserve point below the pair arc")
-    angle_new_rad = fp_acos(z)
-    out_new = fp_sub(offset, fp_mul(radius, fp_sin(angle_new_rad)))
-    amount_out = fp_sub(reserves[j], out_new)
-    reserves[i], reserves[j] = in_new, out_new
-    new_state = state.with_reserves(reserves)
-    if abs(invariant_residual(params, new_state)) > ON_CURVE_TOLERANCE:
-        raise RangeError("rotation left the curve beyond tolerance")
-    return SwapQuote(
-        token_in=i,
-        token_out=j,
-        amount_in=delta_in,
-        amount_out=amount_out,
-        price_before=spot_price(params, state, i, j),
-        price_after=spot_price(params, new_state, i, j),
-        new_reserves=tuple(reserves),
-    )
+    return pair_swap(params, state, token_in, delta_in, token_out)

@@ -28,6 +28,10 @@ both trade directions read the same values. The angle in degrees serves
 only as the ledger's search key and as output: a trade takes one acos,
 for the angle where it ends inside a segment (n > 2 pools take one more,
 for the start angle on the pair circle).
+
+``route_swap`` is the one entry point for a trade on any route: it
+quotes on the Cartesian, polar or tick route and returns the committed
+state with the quote, so callers hold no route logic of their own.
 """
 
 from __future__ import annotations
@@ -60,9 +64,10 @@ from .polar import (
     angle_of_state,
     angle_to_price,
     boundary_cos_sin,
+    polar_swap_exact_in,
     rad_to_deg,
 )
-from .swap import SwapQuote, effective_pair_circle
+from .swap import SwapQuote, commit, effective_pair_circle, pair_swap
 
 F = FixedDecimal
 
@@ -452,3 +457,37 @@ def commit_tick_swap(state: PoolState, result: TickSwapResult) -> PoolState:
         liquidity_scale=result.final_liquidity,
         angle_deg=result.final_angle_deg,
     )
+
+
+def route_swap(params: CurveParams, ledger: TickLedger, state: PoolState, route: str,
+               token_in: int, token_out: int, amount: FixedDecimal,
+               exact_out: bool = False
+               ) -> tuple[SwapQuote, PoolState, TickSwapResult | None]:
+    """Quote a trade on ``route`` and commit it.
+
+    ``route`` is ``cartesian``, ``polar`` or ``ticks``; ``amount`` is the
+    input, or with ``exact_out`` (Cartesian route, two-token pools) the
+    output. Returns the quote, the state after the trade and the tick
+    result, which is None off the tick route.
+    """
+    i, j = token_in, token_out
+    if i == j or not (0 <= i < params.n) or not (0 <= j < params.n):
+        raise ValidationError("bad token indices")
+    if amount < ZERO:
+        raise ValidationError("amount must be non-negative")
+    if exact_out:
+        if route != "cartesian":
+            raise ValidationError("--exact-out is a cartesian-route feature")
+        if params.n != 2:
+            raise ValidationError("--exact-out needs a two-token pool")
+        quote = pair_swap(params, state, j, -amount, i)
+    elif route == "cartesian":
+        quote = pair_swap(params, state, i, amount, j)
+    elif route == "polar":
+        quote = polar_swap_exact_in(params, state, i, amount, token_out=j)
+    elif route == "ticks":
+        result = swap_across_ticks(params, ledger, state, i, amount, token_out=j)
+        return result.quote, commit_tick_swap(state, result), result
+    else:
+        raise ValidationError(f"unknown route {route!r}")
+    return quote, commit(state, quote), None

@@ -5,13 +5,14 @@ import time
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polarpool.errors import DomainError, ValidationError
-from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_sub
-from polarpool.invariant import CurveParams, PoolState
+from polarpool.errors import DomainError
+from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sub
+from polarpool.invariant import CurveParams, PoolState, ccmm_residual
 from polarpool.polar import (
     NINETY,
-    PolarPoint,
     angle_of_state,
     angle_to_price,
     arbitrage_point,
@@ -19,7 +20,6 @@ from polarpool.polar import (
     cartesian_to_polar,
     polar_swap_delta_y,
     polar_swap_exact_in,
-    polar_to_cartesian,
     price_to_angle,
     reserves_at_angle,
 )
@@ -34,6 +34,12 @@ UNIT_STATE = PoolState(reserves=(ONE, ONE))
 
 def to_mp(x: FixedDecimal) -> mpmath.mpf:
     return mpmath.mpf(x.raw) / WAD
+
+
+# raws of every length from lo to hi digits: log-uniform magnitudes
+def spread_raws(lo: int, hi: int):
+    return st.integers(min_value=lo, max_value=hi).flatmap(
+        lambda e: st.integers(min_value=10 ** (e - 1), max_value=10 ** e - 1))
 
 
 class TestAngleConversion:
@@ -82,15 +88,11 @@ class TestAngleConversion:
 
 class TestCartesianPolar:
     def test_symmetric_point(self):
-        pt = cartesian_to_polar(CIRCLE, ONE, ONE)
-        assert abs(pt.angle_deg.raw - 45 * WAD) <= 100
-        assert abs(pt.radius.raw - CIRCLE.l.raw) <= 100
+        assert abs(cartesian_to_polar(CIRCLE, ONE, ONE).raw - 45 * WAD) <= 100
 
     def test_axis_points(self):
-        pt = cartesian_to_polar(CIRCLE, CIRCLE.l, ZERO)
-        assert abs(pt.angle_deg.raw - 90 * WAD) <= 100
-        pt = cartesian_to_polar(CIRCLE, ZERO, CIRCLE.l)
-        assert pt.angle_deg.raw <= 100
+        assert abs(cartesian_to_polar(CIRCLE, CIRCLE.l, ZERO).raw - 90 * WAD) <= 100
+        assert cartesian_to_polar(CIRCLE, ZERO, CIRCLE.l).raw <= 100
 
     def test_off_curve_rejected(self):
         with pytest.raises(DomainError):
@@ -99,22 +101,14 @@ class TestCartesianPolar:
     def test_round_trip_on_curve_points(self):
         rng = random.Random(5)
         for _ in range(1000):
-            x = F.from_raw(rng.randrange(1, CIRCLE.l.raw))
-            y = ccmm_y_of_x(CIRCLE, x)
-            pt = cartesian_to_polar(CIRCLE, x, y)
-            x2, y2 = polar_to_cartesian(CIRCLE, pt)
-            assert abs(x2.raw - x.raw) <= 10 ** 6  # 1e-12
-            assert abs(y2.raw - y.raw) <= 10 ** 6
+            angle = F.from_raw(rng.randrange(0, NINETY.raw + 1))
+            x, y = reserves_at_angle(CIRCLE, angle)
+            assert abs(cartesian_to_polar(CIRCLE, x, y).raw - angle.raw) <= 10 ** 6  # 1e-12
 
     def test_reserves_at_angle_is_on_curve(self):
         for k in range(1, 90):
             x, y = reserves_at_angle(CIRCLE, F(k))
-            pt = cartesian_to_polar(CIRCLE, x, y)
-            assert abs(pt.angle_deg.raw - k * WAD) <= 10 ** 6
-
-    def test_angle_validation(self):
-        with pytest.raises(ValidationError):
-            PolarPoint(angle_deg=F(120), radius=ONE)
+            assert abs(cartesian_to_polar(CIRCLE, x, y).raw - k * WAD) <= 10 ** 6
 
 
 class TestArcPoints:
@@ -160,11 +154,10 @@ class TestAppendixRoutine:
         assert per_call < 1e-3
 
     def test_clean_route_matches_cartesian_at_45(self):
-        # without the 10000-fold scaling, the rotation from (1,1) equals
-        # the closed-form swap to the last grid digits
-        q_polar = polar_swap_exact_in(CIRCLE, UNIT_STATE, 0, ONE)
-        q_cart = pair_swap(CIRCLE, UNIT_STATE, 0, ONE)
-        assert abs(q_polar.amount_out.raw - q_cart.amount_out.raw) <= 10 ** 6
+        # without the 10000-fold scaling, the rotation from (1,1) is the
+        # closed-form swap: the same square root, bit for bit
+        assert polar_swap_exact_in(CIRCLE, UNIT_STATE, 0, ONE) == pair_swap(
+            CIRCLE, UNIT_STATE, 0, ONE)
 
 
 class TestPathEquivalence:
@@ -192,8 +185,8 @@ class TestPathEquivalence:
             delta = F.from_raw(rng.randrange(1, room.raw // 2 + 1))
             q = polar_swap_exact_in(CIRCLE, state, token_in, delta)
             state = commit(state, q)
-            pt = cartesian_to_polar(CIRCLE, *state.reserves)
-            assert abs(pt.radius.raw - CIRCLE.l.raw) <= 10 ** 9
+            # |r^2 - L^2| = |r - L| (r + L): a radius within 1e-9 of L
+            assert abs(ccmm_residual(CIRCLE, state.reserves).raw) <= 2 * CIRCLE.l.raw // 10 ** 9
 
     def test_angle_cache_matches_geometry(self):
         q = polar_swap_exact_in(CIRCLE, UNIT_STATE, 0, ONE)
@@ -202,5 +195,36 @@ class TestPathEquivalence:
         # the quote's cached angle is attached by the tick layer; here we
         # just confirm geometry recovers a consistent angle
         x, y = q.new_reserves
-        pt = cartesian_to_polar(CIRCLE, x, y)
-        assert abs(geometric.raw - pt.angle_deg.raw) <= 100
+        assert abs(geometric.raw - cartesian_to_polar(CIRCLE, x, y).raw) <= 100
+
+    @given(
+        spread_raws(13, 20).filter(lambda raw: raw < NINETY.raw),
+        spread_raws(17, 20).filter(lambda raw: raw <= 10 ** 19),
+        st.sampled_from([0, 1]),
+        st.integers(0, 18),
+        st.integers(1, 99),
+    )
+    @example(10 ** 15, 10 ** 16, 0, 18, 1)  # 0.001 degree, scale 0.01, one quantum
+    @settings(max_examples=400, deadline=None)
+    def test_routes_land_on_the_exact_circle(self, walk_raw, scale_raw, token_in,
+                                             digits, leading):
+        # walk angles from 1e-6 degrees up, scales 0.01 to 10, trades from a
+        # quantum to 99 % of the room left: near the arc start one quantum
+        # of the in-reserve moves the other by cot(phi) quanta, and both
+        # routes still land within a quantum of the exact circle
+        scale = F.from_raw(scale_raw)
+        walk = F.from_raw(walk_raw)
+        angle = walk if token_in == 0 else fp_sub(NINETY, walk)
+        state = PoolState(reserves=reserves_at_angle(CIRCLE, angle, scale),
+                          liquidity_scale=scale)
+        offset = fp_mul(CIRCLE.l, scale)
+        room = offset.raw - state.reserves[token_in].raw
+        delta = F.from_raw(max(1, room * leading // (100 * 10 ** digits)))
+        j = 1 - token_in
+        with mpmath.workdps(60):
+            moved = mpmath.mpf(state.reserves[token_in].raw + delta.raw)
+            partner = offset.raw - mpmath.sqrt(offset.raw ** 2 - (offset.raw - moved) ** 2)
+            exact_out = state.reserves[j].raw - partner
+            for quote in (polar_swap_exact_in(CIRCLE, state, token_in, delta),
+                          pair_swap(CIRCLE, state, token_in, delta)):
+                assert abs(quote.amount_out.raw - exact_out) <= 1
