@@ -32,7 +32,7 @@ from .fingerprint import (
     lp_payoff,
     multimodal_radius,
 )
-from .fixed import FixedDecimal, HALF_PI, ONE, ZERO, fp_add, fp_div, fp_mul, fp_sub
+from .fixed import FixedDecimal, HALF_PI, ONE, ZERO, fp_add, fp_mul, fp_sub
 from .hedge import HedgeSpec, hedge_payoff
 from .invariant import (
     CurveParams,
@@ -44,7 +44,7 @@ from .invariant import (
 )
 from .polar import angle_to_price, cartesian_to_polar, price_to_angle, reserves_at_angle
 from .poolfile import PoolFile, load, save
-from .swap import SwapQuote, csemm_y_of_x, effective_pair_circle, other_reserve
+from .swap import SwapQuote, csemm_y_of_x, other_reserve
 from .ticks import (
     LpPosition,
     SEGMENT_CSV_HEADER,
@@ -238,10 +238,9 @@ def cmd_gen_trades(args) -> int:
     for seq in range(1, args.count + 1):
         i = rng.randrange(pool.params.n)
         j = (i + 1 + rng.randrange(pool.params.n - 1)) % pool.params.n
-        # consume an integer percentage (1..30) of the remaining arc
-        offset, radius = effective_pair_circle(pool.params, state, i, j)
-        z = fp_div(fp_sub(offset, state.reserves[i]), radius)
-        capacity = fp_mul(radius, z)  # input room down to the 90-degree end
+        # consume an integer percentage (1..30) of the input room left on
+        # the arc, down to the 90-degree end
+        capacity = fp_sub(fp_mul(pool.params.l, state.liquidity_scale), state.reserves[i])
         pct = rng.randrange(1, 31)
         amount = fp_mul(capacity, F.from_fraction(pct, 100))
         if amount <= ZERO:

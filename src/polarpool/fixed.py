@@ -13,10 +13,12 @@ keeps bias from accumulating over long swap sequences. Addition and
 subtraction are exact; multiplication and division round once.
 
 Square roots are exact integer roots, correctly rounded. The other
-transcendentals (pow, ln, exp, sin, cos, acos, atan2) sum integer series
+transcendentals (pow, ln, exp, sin, cos, atan2) sum integer series
 at a working scale of 10^-50 and round once to the 18-digit grid, so each
 result is the nearest grid point to the exact value unless that value
-lies within about 1e-30 quanta of a rounding boundary.
+lies within about 1e-30 quanta of a rounding boundary. There is no acos
+or asin: the engine forms an angle only from a point's two coordinates,
+with atan2.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "fp_sin",
     "fp_cos",
     "fp_sin_cos",
-    "fp_acos",
     "fp_atan2",
 ]
 
@@ -483,15 +484,6 @@ def fp_atan2(y: FixedDecimal, x: FixedDecimal) -> FixedDecimal:
     if x.raw == 0 and y.raw == 0:
         raise DomainError("atan2(0, 0) is undefined")
     return _from_scaled(_angle(y.raw, x.raw))
-
-
-def fp_acos(a: FixedDecimal) -> FixedDecimal:
-    """Inverse cosine in radians for |a| <= 1."""
-    if abs(a.raw) > WAD:
-        raise DomainError("acos argument outside [-1, 1]")
-    # atan2(sqrt(1 - a^2), a), the root from the exact radicand
-    root = isqrt((WAD * WAD - a.raw * a.raw) * _UP * _UP)
-    return _from_scaled(_angle(root, _scaled(a)))
 
 
 # -- constants ------------------------------------------------------------

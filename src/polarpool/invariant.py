@@ -17,6 +17,7 @@ scale from the initial reserves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .errors import DomainError, NumericError, ShapeError, ValidationError
 from .fixed import (
@@ -49,11 +50,14 @@ def default_offset() -> FixedDecimal:
     return fp_add(TWO, SQRT2)
 
 
+@lru_cache(maxsize=None)
 def eta(alpha: FixedDecimal) -> FixedDecimal:
     """Tail-skew exponent ln(2) / ln(alpha / (alpha - 1)).
 
     Defined for alpha > 1 or alpha < 0; the band [0, 1] makes the log
-    argument non-positive or the exponent singular.
+    argument non-positive or the exponent singular. Memoized process-wide:
+    a pool has one alpha per token, and every residual, price and swap
+    reads their exponents.
     """
     if ZERO <= alpha <= ONE:
         raise DomainError("eta undefined for alpha in [0, 1]")
@@ -71,9 +75,6 @@ class CurveParams:
     alphas: tuple[FixedDecimal, ...] | None = None
     beta: FixedDecimal = field(default_factory=lambda: TWO)
     c: FixedDecimal = field(default_factory=lambda: ONE)
-    #: eta of each alpha, computed once; derived, so not compared or shown
-    etas: tuple[FixedDecimal, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -90,7 +91,6 @@ class CurveParams:
                     raise ValidationError(
                         "alpha must be > 1 or < 0 (eta undefined on [0, 1])"
                     )
-            object.__setattr__(self, "etas", tuple(eta(a) for a in self.alphas))
         if self.mode == "shifted":
             if self.n != 2:
                 raise ValidationError("shifted-ellipse mode is two-token only")
@@ -141,14 +141,12 @@ def ccmm_residual(params: CurveParams, reserves, scale: FixedDecimal = ONE) -> F
 def csemm_residual(params: CurveParams, reserves, scale: FixedDecimal = ONE) -> FixedDecimal:
     """sum_i |x_i/(alpha_i*s) - 1|^eta(alpha_i) - 1."""
     reserves = tuple(reserves)
-    if params.etas is None:
-        raise ValidationError("csemm residual needs one alpha per token")
     if len(reserves) != params.n:
         raise ShapeError(f"expected {params.n} reserves, got {len(reserves)}")
     total = ZERO
-    for x, a, e in zip(reserves, params.alphas, params.etas):
+    for x, a in zip(reserves, params.alphas):
         u = fp_sub(fp_div(x, fp_mul(a, scale)), ONE)
-        total = fp_add(total, fp_pow(abs(u), e))
+        total = fp_add(total, fp_pow(abs(u), eta(a)))
     return fp_sub(total, ONE)
 
 
@@ -308,7 +306,8 @@ def spot_price(params: CurveParams, state: PoolState, token_in: int = 0,
         return fp_div(num, den)
     if params.mode == "csemm":
         def gradient(k: int) -> FixedDecimal:
-            a, e = params.alphas[k], params.etas[k]
+            a = params.alphas[k]
+            e = eta(a)
             u = fp_sub(fp_div(xs[k], fp_mul(a, s)), ONE)
             mag = fp_pow(abs(u), fp_sub(e, ONE))
             g = fp_div(fp_mul(e, mag), fp_mul(a, s))

@@ -13,7 +13,10 @@ agrees with the arc at the anchors (price 1 at 45 degrees, price 0 at 90)
 and is inverted by price = 90 / phi - 1.
 
 Degrees are the public angle unit; radians appear only inside the
-trigonometric calls.
+trigonometric calls. An angle and an arc point are two labels of one
+place, and each direction has one conversion: :func:`arc_cos_sin` from an
+angle to the unit point (cos phi, sin phi), and :func:`point_angle` from a
+point R (cos phi, sin phi) back to the angle.
 
 The polar route rotates the reserve point along the arc. The rotation that
 adds ``delta`` to the in-reserve ends where the pair circle meets the new
@@ -35,6 +38,7 @@ from .fixed import (
     fp_add,
     fp_atan2,
     fp_div,
+    fp_hypot,
     fp_mul,
     fp_sin_cos,
     fp_sqrt,
@@ -59,22 +63,41 @@ def rad_to_deg(angle_rad: FixedDecimal) -> FixedDecimal:
     return fp_mul(angle_rad, DEG_PER_RAD)
 
 
+def arc_cos_sin(angle_deg: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
+    """(cos, sin) of an arc angle in degrees, in [0, 90].
+
+    Sine and cosine are evaluated only at angles of at most 45 degrees; an
+    angle b above reads the pair of 90 - b swapped, so the pairs of b and
+    90 - b mirror each other bit for bit, and the arc ends are the exact
+    (1, 0) and (0, 1).
+    """
+    if 2 * angle_deg.raw > NINETY.raw:
+        cos_m, sin_m = arc_cos_sin(fp_sub(NINETY, angle_deg))
+        return sin_m, cos_m
+    if angle_deg.is_zero():
+        return ONE, ZERO
+    sin_a, cos_a = fp_sin_cos(deg_to_rad(angle_deg))
+    return cos_a, sin_a
+
+
 @lru_cache(maxsize=None)
 def boundary_cos_sin(raw: int) -> tuple[FixedDecimal, FixedDecimal]:
-    """(cos, sin) of the angle ``raw`` (raw degrees in [0, 90]).
+    """:func:`arc_cos_sin` of the angle ``raw`` (raw degrees in [0, 90]).
 
-    A process-wide table, filled one angle at a time on first use. Sine and
-    cosine are evaluated only at angles of at most 45 degrees; an angle b
-    above reads the pair of 90 - b swapped, so the table is mirror-symmetric
-    bit for bit, and the arc ends are the exact (1, 0) and (0, 1).
+    A process-wide table over tick boundaries, filled one angle at a time
+    on first use.
     """
-    if 2 * raw > NINETY.raw:
-        cos_m, sin_m = boundary_cos_sin(NINETY.raw - raw)
-        return sin_m, cos_m
-    if raw == 0:
-        return ONE, ZERO
-    sin_b, cos_b = fp_sin_cos(deg_to_rad(FixedDecimal.from_raw(raw)))
-    return cos_b, sin_b
+    return arc_cos_sin(FixedDecimal.from_raw(raw))
+
+
+def point_angle(x: FixedDecimal, y: FixedDecimal) -> FixedDecimal:
+    """Angle in degrees of the arc point R (cos phi, sin phi) = (x, y).
+
+    The inverse of :func:`arc_cos_sin`; a point with x = 0 is exactly at 90.
+    """
+    if x.is_zero():
+        return NINETY
+    return rad_to_deg(fp_atan2(y, x))
 
 
 def arbitrage_point(price: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
@@ -103,7 +126,7 @@ def reserves_at_angle(params: CurveParams, angle_deg: FixedDecimal,
                       scale: FixedDecimal = ONE) -> tuple[FixedDecimal, FixedDecimal]:
     """Arc point (x, y) at the given angle."""
     offset = fp_mul(params.l, scale)
-    sin_a, cos_a = fp_sin_cos(deg_to_rad(angle_deg))
+    cos_a, sin_a = arc_cos_sin(angle_deg)
     x = fp_sub(offset, fp_mul(offset, cos_a))
     y = fp_sub(offset, fp_mul(offset, sin_a))
     return x, y
@@ -121,12 +144,9 @@ def cartesian_to_polar(params: CurveParams, x: FixedDecimal, y: FixedDecimal,
     dy = fp_sub(offset, y)
     if dx < ZERO or dy < ZERO:
         raise DomainError("point outside the trading quadrant")
-    radius = fp_sqrt(fp_add(fp_mul(dx, dx), fp_mul(dy, dy)))
-    if abs(fp_sub(radius, offset)) > ON_CURVE_TOLERANCE:
+    if abs(fp_sub(fp_hypot(dx, dy), offset)) > ON_CURVE_TOLERANCE:
         raise DomainError("off-curve point: radius deviates from l*scale")
-    if dx.is_zero():
-        return NINETY
-    return rad_to_deg(fp_atan2(dy, dx))
+    return point_angle(dx, dy)
 
 
 def angle_of_state(params: CurveParams, state: PoolState) -> FixedDecimal:

@@ -38,6 +38,7 @@ from .invariant import (
     CurveParams,
     ON_CURVE_TOLERANCE,
     PoolState,
+    eta,
     invariant_residual,
     spot_price,
 )
@@ -79,22 +80,23 @@ def commit(state: PoolState, quote: SwapQuote) -> PoolState:
     return state.with_reserves(quote.new_reserves)
 
 
-def effective_pair_circle(params: CurveParams, state: PoolState, token_in: int,
-                          token_out: int) -> tuple[FixedDecimal, FixedDecimal]:
+def effective_pair_circle(params: CurveParams, reserves, scale: FixedDecimal,
+                          token_in: int, token_out: int
+                          ) -> tuple[FixedDecimal, FixedDecimal]:
     """Center offset and radius of the two-token reduction of an n-pool.
 
-    Holding every other reserve fixed, the circular invariant restricts
-    the traded pair to a circle centered at (L, L) with squared radius
-    L^2 - sum_k (x_k - L)^2 over the spectator tokens.
+    Holding every other reserve fixed, the circular invariant at ``scale``
+    restricts the traded pair to a circle centered at (L, L), L = l * scale,
+    with squared radius L^2 - sum_k (x_k - L)^2 over the spectator tokens.
     """
     i, j = token_in, token_out
     if not (0 <= i < params.n and 0 <= j < params.n) or i == j:
         raise ValidationError("bad token indices")
-    offset = fp_mul(params.l, state.liquidity_scale)
+    offset = fp_mul(params.l, scale)
     if params.n == 2:
         return offset, offset
     r2 = fp_mul(offset, offset)
-    for k, x in enumerate(state.reserves):
+    for k, x in enumerate(reserves):
         if k in (i, j):
             continue
         d = fp_sub(x, offset)
@@ -115,7 +117,7 @@ def other_reserve(params: CurveParams, state: PoolState, token: int, other: int,
     """
     s = state.liquidity_scale
     if params.mode == "ccmm":
-        offset, radius = effective_pair_circle(params, state, token, other)
+        offset, radius = effective_pair_circle(params, state.reserves, s, token, other)
         d = fp_sub(offset, value)
         if value < ZERO or value > offset or d > radius:
             raise DomainError("reserve outside the circular arc")
@@ -129,11 +131,11 @@ def other_reserve(params: CurveParams, state: PoolState, token: int, other: int,
         unit = fp_div(value, s)
         if a_k > ONE and unit > a_k:
             raise DomainError("reserve beyond the trading arc (negative price region)")
-        t = fp_pow(abs(fp_sub(fp_div(unit, a_k), ONE)), params.etas[token])
+        t = fp_pow(abs(fp_sub(fp_div(unit, a_k), ONE)), eta(a_k))
         inner = fp_sub(ONE, t)
         if inner < ZERO:
             raise DomainError("off-curve request: |x/alpha - 1|^eta exceeds 1")
-        w = fp_pow(inner, fp_div(ONE, params.etas[other]))
+        w = fp_pow(inner, fp_div(ONE, eta(a_o)))
         return fp_mul(fp_mul(-a_o, fp_sub(w, ONE)), s)
     # shifted ellipse: (l - x/s)^beta + (l - y/(c*s))^beta = l^beta
     l, beta = params.l, params.beta

@@ -19,15 +19,17 @@ angle 90 - phi, on the ledger's mirrored index.
 The walk carries the point, not the angle: (x, y) = R (cos phi, sin phi),
 the in- and out-reserves' distances below the centre of a circle of
 radius R. Selling d moves x to x - d exactly, and y follows from one
-correctly rounded square root of R^2 - x^2. The start point comes from
+correctly rounded square root of R^2 - x^2. Every pool walks its pair
+circle: for two tokens that is the pool's own circle, and a pool with
+more tokens holds its other reserves fixed. The start point comes from
 the reserves. A boundary's (cos, sin) comes from the process-wide table
 ``polar.boundary_cos_sin``, shared by every ledger and filled one angle
 at a time on first use; it evaluates sin and cos only at angles of at
 most 45 degrees and swaps the pair of 90 - b for an angle b above, so
 both trade directions read the same values. The angle in degrees serves
-only as the ledger's search key and as output: a trade takes one acos,
-for the angle where it ends inside a segment (n > 2 pools take one more,
-for the start angle on the pair circle).
+only as the ledger's search key and as output: a trade takes one atan2,
+``polar.point_angle`` of the point where it ends inside a segment (n > 2
+pools take one more, for the start angle of the pair-circle point).
 
 ``route_swap`` is the one entry point for a trade on any route: it
 quotes on the Cartesian, polar or tick route and returns the committed
@@ -51,7 +53,6 @@ from .fixed import (
     FixedDecimal,
     ONE,
     ZERO,
-    fp_acos,
     fp_add,
     fp_div,
     fp_mul,
@@ -64,8 +65,8 @@ from .polar import (
     angle_of_state,
     angle_to_price,
     boundary_cos_sin,
+    point_angle,
     polar_swap_exact_in,
-    rad_to_deg,
 )
 from .swap import SwapQuote, commit, effective_pair_circle, pair_swap
 
@@ -194,14 +195,6 @@ class TickLedger:
         return tuple(_NINETY_RAW - raw for raw in reversed(raws)), below[::-1]
 
 
-def _reanchor(x: FixedDecimal, y: FixedDecimal, circle: FixedDecimal,
-              radius: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
-    """The point (x, y) of one circle at the same angle on a concentric one."""
-    if radius == circle:
-        return x, y
-    return fp_div(fp_mul(x, radius), circle), fp_div(fp_mul(y, radius), circle)
-
-
 def _active(index, raw: int) -> FixedDecimal:
     """Liquidity on the half-open segment of ``index`` holding ``raw``."""
     raws, totals = index
@@ -317,8 +310,8 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
     """
     if params.mode != "ccmm":
         raise ValidationError("tick traversal is defined on circular pools")
-    if delta_in <= ZERO:
-        raise ValidationError("delta_in must be positive")
+    if delta_in < ZERO:
+        raise ValidationError("delta_in must be non-negative")
     if token_out is None:
         if params.n != 2:
             raise ValidationError("token_out required for pools with n > 2")
@@ -333,43 +326,36 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
     mirrored = params.n == 2 and i == 1
     index = ledger.mirrored_index if mirrored else ledger.index
     raws = index[0]
+    if params.n > 2 and any(raw not in (0, _NINETY_RAW) for raw in raws):
+        raise ValidationError(
+            "tick crossings are two-token only; n-dim pools need a uniform ledger"
+        )
 
     def canonical(angle: FixedDecimal) -> FixedDecimal:
         # the mirror is its own inverse, so this maps both ways
         return fp_sub(NINETY, angle) if mirrored else angle
 
-    # the point (x, y) = circle * (cos phi, sin phi) in walk orientation
+    # the point (x, y) = circle * (cos phi, sin phi) in walk orientation,
+    # on the pair circle, which for two tokens is the pool's own circle
     reserves = list(state.reserves)
-    if params.n == 2:
-        pair = None
-        phi = canonical(angle_of_state(params, state))
-        offset0 = circle = fp_mul(params.l, state.liquidity_scale)
-    else:
-        # uniform ledgers have no boundary inside the arc, so the pair
-        # circle found at the start holds for the whole trade
-        if any(raw not in (0, _NINETY_RAW) for raw in raws):
-            raise ValidationError(
-                "tick crossings are two-token only; n-dim pools need a uniform ledger"
-            )
-        scale0 = _active(index, 0)
-        if scale0 <= ZERO:
-            raise InsufficientLiquidityError(
-                "ran out of liquidity: empty ledger",
-                filled_in=ZERO, filled_out=ZERO,
-            )
-        pair = effective_pair_circle(
-            params, replace(state, liquidity_scale=scale0), i, j)
-        offset0, circle = pair
-        phi = rad_to_deg(fp_acos(fp_div(fp_sub(offset0, reserves[i]), circle)))
-    x, y = fp_sub(offset0, reserves[i]), fp_sub(offset0, reserves[j])
+    scale = state.liquidity_scale
+    offset, circle = effective_pair_circle(params, reserves, scale, i, j)
+    x, y = fp_sub(offset, reserves[i]), fp_sub(offset, reserves[j])
+    phi = canonical(angle_of_state(params, state)) if params.n == 2 else point_angle(x, y)
+
+    def reanchor(scale):
+        # the point at the same angle on the pair circle at another scale
+        offset, radius = effective_pair_circle(params, reserves, scale, i, j)
+        return (offset, radius,
+                fp_div(fp_mul(x, radius), circle), fp_div(fp_mul(y, radius), circle))
 
     x_0, y_0 = x, y
     remaining = delta_in
     filled_in = ZERO
     filled_out = ZERO
     segments: list[SegmentFill] = []
-    crossing = True
-    while crossing:
+    # a zero trade is the zero quote: no segment, so no rounded root
+    while remaining > ZERO:
         if phi.raw >= _NINETY_RAW:
             raise InsufficientLiquidityError(
                 "ran out of liquidity at the arc end",
@@ -378,31 +364,31 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
             )
         # a state committed a hair before the start of the walk, where a
         # trade that exhausted the arc left it, trades on the first segment
-        scale = _active(index, max(phi.raw, 0))
-        if scale <= ZERO:
+        active = _active(index, max(phi.raw, 0))
+        if active <= ZERO:
             raise InsufficientLiquidityError(
                 "ran out of liquidity at a dead segment",
                 filled_in=filled_in, filled_out=filled_out,
                 boundary_angle_deg=canonical(phi),
             )
-        radius = fp_mul(params.l, scale) if pair is None else circle
-        x, y = _reanchor(x, y, circle, radius)
+        if active != scale:
+            scale = active
+            offset, circle, x, y = reanchor(scale)
 
         k = bisect_right(raws, phi.raw)
         stop = FixedDecimal.from_raw(raws[k]) if k < len(raws) else NINETY
         cos_stop, sin_stop = boundary_cos_sin(stop.raw)
-        x_stop = fp_mul(radius, cos_stop)
+        x_stop = fp_mul(circle, cos_stop)
         capacity = fp_sub(x, x_stop)
 
-        crossing = remaining > capacity
         if remaining < capacity:
             step, x_end = remaining, fp_sub(x, remaining)
-            y_end = fp_sqrt_diff_squares(radius, x_end)
-            # rounding in acos must not move the angle back or out of the segment
-            end = min(max(rad_to_deg(fp_acos(fp_div(x_end, radius))), phi), stop)
+            y_end = fp_sqrt_diff_squares(circle, x_end)
+            # rounding in the angle must not move it back or out of the segment
+            end = min(max(point_angle(x_end, y_end), phi), stop)
         else:
             # the segment fills: land on its boundary
-            step, x_end, y_end, end = capacity, x_stop, fp_mul(radius, sin_stop), stop
+            step, x_end, y_end, end = capacity, x_stop, fp_mul(circle, sin_stop), stop
         out = fp_sub(y_end, y)
         segments.append(SegmentFill(
             index=len(segments),
@@ -415,19 +401,16 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
         filled_in = fp_add(filled_in, step)
         filled_out = fp_add(filled_out, out)
         remaining = fp_sub(remaining, step)
-        phi, x, y, circle = end, x_end, y_end, radius
+        phi, x, y = end, x_end, y_end
 
-    # final state: virtual reserves at the final angle on the final circle
-    final_scale = _active(index, phi.raw)
-    if final_scale <= ZERO:
-        final_scale = scale  # landed exactly on the upper edge of the last segment
-    if pair is None:
-        offset_f = fp_mul(params.l, final_scale)
-        x, y = _reanchor(x, y, circle, offset_f)
-    else:
-        offset_f = offset0
-    reserves[i] = fp_sub(offset_f, x)
-    reserves[j] = fp_sub(offset_f, y)
+    # a walk that ends on a boundary goes on from the circle above it,
+    # unless the arc above is empty
+    above = _active(index, phi.raw)
+    if segments and above > ZERO and above != scale:
+        scale = above
+        offset, circle, x, y = reanchor(scale)
+    reserves[i] = fp_sub(offset, x)
+    reserves[j] = fp_sub(offset, y)
 
     # prices are the scale-free cotangent of the trade angle
     if y.is_zero() or y_0.is_zero():
@@ -446,7 +429,7 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
         quote=quote,
         segments=tuple(segments),
         final_angle_deg=canonical(phi),
-        final_liquidity=final_scale,
+        final_liquidity=scale,
     )
 
 

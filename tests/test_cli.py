@@ -68,13 +68,19 @@ class TestInit:
 class TestQuoteSwap:
     def test_zero_quote(self, tmp_path, capsys):
         init_pool(capsys, tmp_path / "p.json")
-        code, out, _ = run(
-            capsys, "quote", "--pool", str(tmp_path / "p.json"),
-            "--token-in", "0", "--token-out", "1", "--amount", "0",
-        )
-        assert code == 0
-        quote = json.loads(out)
-        assert quote["amount_out"] == "0"
+        pool = json.loads((tmp_path / "p.json").read_text())
+        for route in ("cartesian", "polar", "ticks"):
+            code, out, _ = run(
+                capsys, "quote", "--pool", str(tmp_path / "p.json"),
+                "--token-in", "0", "--token-out", "1", "--amount", "0", "--route", route,
+            )
+            assert code == 0, route
+            quote = json.loads(out)
+            assert quote["amount_out"] == "0"
+            assert quote["price_before"] == quote["price_after"]
+            assert quote["new_reserves"] == pool["reserves"]
+        assert quote["segments"] == 0
+        assert quote["final_angle_deg"] == pool["angle_deg"]
 
     def test_routes_agree(self, tmp_path, capsys):
         init_pool(capsys, tmp_path / "p.json")

@@ -22,7 +22,6 @@ from polarpool.fixed import (
     PI,
     TWO,
     ZERO,
-    fp_acos,
     fp_add,
     fp_atan2,
     fp_cos,
@@ -321,19 +320,8 @@ class TestTrig:
         total = fp_add(fp_mul(s, s), fp_mul(c, c))
         assert abs(total.raw - WAD) <= 4
 
-    def test_acos_exact_endpoints(self):
-        assert fp_acos(ONE) == ZERO
-        assert fp_acos(-ONE) == PI
-        # the root over the argument would divide by zero at 0
-        assert fp_acos(ZERO) == fp_div(PI, TWO)
-        assert_close_to_reference(fp_acos(ZERO), mpmath.pi / 2)
-
     def test_inverse_trig_reference(self):
         rng = random.Random(23)
-        for _ in range(300):
-            raw = rng.randrange(-WAD, WAD + 1)
-            a = F.from_raw(raw)
-            assert_close_to_reference(fp_acos(a), mpmath.acos(to_mp(a)), rel=1e-14, ulps=2)
         for _ in range(300):
             y = F.from_raw(rng.randrange(-5 * WAD, 5 * WAD))
             x = F.from_raw(rng.randrange(-5 * WAD, 5 * WAD))
@@ -356,13 +344,6 @@ class TestCorrectRounding:
             assert_correctly_rounded(s, mpmath.sin(to_mp(a)))
             assert_correctly_rounded(c, mpmath.cos(to_mp(a)))
         assert (fp_sin(a), fp_cos(a)) == (s, c)
-
-    @given(signed(spread_raws(1, 18)))
-    @settings(max_examples=300)
-    def test_acos(self, raw):
-        a = F.from_raw(raw)
-        with mpmath.workdps(60):
-            assert_correctly_rounded(fp_acos(a), mpmath.acos(to_mp(a)))
 
     @given(signed(spread_raws(1, 38)), signed(spread_raws(1, 38)))
     @settings(max_examples=300)
@@ -432,7 +413,7 @@ class TestDeterminism:
         # of a constant computed at import
         def raws(fx):
             G = fx.FixedDecimal
-            return [fx.fp_acos(G("0.3")).raw, fx.fp_atan2(G("0.3"), G("0.9")).raw,
+            return [fx.fp_atan2(G("0.3"), G("0.9")).raw,
                     fx.fp_ln(G("123456.123456789123456789")).raw,
                     *(v.raw for v in fx.fp_sin_cos(G("0.123456789123456789"))),
                     fx.fp_exp(G("12.345678901234567891")).raw,

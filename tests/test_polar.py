@@ -127,6 +127,16 @@ class TestArcPoints:
         assert boundary_cos_sin(0) == (ONE, ZERO)
         assert boundary_cos_sin(NINETY.raw) == (ZERO, ONE)
 
+    @given(st.integers(0, 90 * WAD).filter(lambda raw: raw != 45 * WAD))
+    @example(0)
+    @example(WAD // 2)
+    @settings(max_examples=300)
+    def test_reserves_at_angle_mirror_bit_for_bit(self, raw):
+        # at 45 degrees the pair is one rounded (cos, sin) of pi/4, whose two
+        # components may differ by a quantum
+        x, y = reserves_at_angle(CIRCLE, F.from_raw(raw), F(3))
+        assert reserves_at_angle(CIRCLE, F.from_raw(NINETY.raw - raw), F(3)) == (y, x)
+
     def test_arbitrage_point_is_the_unit_price_vector(self):
         rng = random.Random(17)
         for _ in range(300):

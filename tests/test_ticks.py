@@ -20,7 +20,6 @@ from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
 from polarpool.polar import NINETY, polar_swap_exact_in, reserves_at_angle
 from polarpool.swap import pair_swap
 import polarpool.polar
-import polarpool.ticks
 from polarpool.ticks import (
     LpPosition,
     TickGrid,
@@ -422,7 +421,7 @@ class TestMirrorSymmetry:
 
 
 class TestCarriedPairKernel:
-    """The walk carries R (cos, sin): one acos per trade, boundary pairs cached."""
+    """The walk carries R (cos, sin): one atan2 per trade, boundary pairs cached."""
 
     @staticmethod
     def uniform_trade(scale_raw, angle_raw, token_in, share_raw):
@@ -481,6 +480,68 @@ class TestCarriedPairKernel:
             err = abs(mpmath.mpf(quote.new_reserves[j].raw) / WAD - partner) * WAD
         assert err <= 0.5
 
+    @staticmethod
+    def assert_angle_of_point(params, result, i, j):
+        # the reported end angle against the 60-digit angle of the committed
+        # point, in walk orientation (token i on the cosine axis). The walk
+        # never reports an angle below its start: a trade too small to outrun
+        # the rounding of the start point can leave the point a hair behind it
+        mirrored = params.n == 2 and i == 1
+
+        def walk(angle):
+            return (NINETY - angle if mirrored else angle).raw
+
+        offset = fp_mul(params.l, result.final_liquidity)
+        x = fp_sub(offset, result.quote.new_reserves[i])
+        y = fp_sub(offset, result.quote.new_reserves[j])
+        with mpmath.workdps(60):
+            exact = mpmath.degrees(mpmath.atan2(y.raw, x.raw)) * WAD
+            want = max(exact, walk(result.segments[0].angle_from_deg))
+            assert abs(walk(result.final_angle_deg) - want) <= 50
+
+    @given(
+        st.integers(10 ** 16, 10 ** 20),
+        st.one_of(
+            st.integers(10 ** 12, 90 * WAD - 10 ** 12),
+            st.integers(10 ** 12, 10 ** 16),
+            st.integers(90 * WAD - 10 ** 16, 90 * WAD - 10 ** 12),
+        ),
+        st.sampled_from([0, 1]),
+        st.integers(1, 99 * 10 ** 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_in_segment_end_angle_is_the_point_angle(self, scale_raw, angle_raw,
+                                                     token_in, share_raw):
+        # starts from 1e-6 degrees off either arc end, in both orientations
+        ledger, state, delta = self.uniform_trade(scale_raw, angle_raw, token_in,
+                                                  share_raw)
+        assume(delta > ZERO)
+        result = swap_across_ticks(CIRCLE, ledger, state, token_in, delta)
+        self.assert_angle_of_point(CIRCLE, result, token_in, 1 - token_in)
+
+    @given(
+        st.lists(st.integers(10 ** 17, 3 * WAD), min_size=3, max_size=3),
+        st.permutations([0, 1, 2]),
+        st.integers(1, 99 * 10 ** 16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_n3_end_angle_is_the_point_angle(self, reserve_raws, order, share_raw):
+        params = CurveParams(n=3)
+        reserves = tuple(F.from_raw(raw) for raw in reserve_raws)
+        try:
+            scale = solve_ccmm_scale(params, reserves)
+        except EngineError:
+            assume(False)
+        state = PoolState(reserves=reserves, liquidity_scale=scale)
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, scale))
+        i, j = order[0], order[1]
+        room = fp_sub(fp_mul(params.l, scale), reserves[i])
+        delta = fp_mul(room, F.from_raw(share_raw))
+        assume(delta > ZERO)
+        result = swap_across_ticks(params, ledger, state, i, delta, token_out=j)
+        assert len(result.segments) == 1
+        self.assert_angle_of_point(params, result, i, j)
+
     @given(
         st.lists(st.tuples(st.integers(0, 179), st.integers(1, 180),
                            st.integers(10 ** 12, 10 ** 19)), min_size=1, max_size=12),
@@ -523,25 +584,25 @@ class TestCarriedPairKernel:
         # the boundary table is process-wide: start it empty so that first
         # crossings count their real evaluations
         polarpool.polar.boundary_cos_sin.cache_clear()
-        counts = {"fp_sin_cos": 0, "fp_acos": 0}
-        for module, name in ((polarpool.polar, "fp_sin_cos"), (polarpool.ticks, "fp_acos")):
-            fn = getattr(module, name)
+        counts = {"fp_sin_cos": 0, "fp_atan2": 0}
+        for name in counts:
+            fn = getattr(polarpool.polar, name)
 
             def counted(*args, _fn=fn, _name=name):
                 counts[_name] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(polarpool.polar, name, counted)
         return counts
 
-    def test_one_segment_trade_takes_one_acos(self, calls):
+    def test_one_segment_trade_takes_one_atan2(self, calls):
         ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, F(5)))
         x, y = reserves_at_angle(CIRCLE, F(45), F(5))
         state = PoolState(reserves=(x, y), liquidity_scale=F(5), angle_deg=F(45))
         for token_in in (0, 1):
-            calls.update(fp_sin_cos=0, fp_acos=0)
+            calls.update(fp_sin_cos=0, fp_atan2=0)
             swap_across_ticks(CIRCLE, ledger, state, token_in, ONE)
-            assert calls == {"fp_sin_cos": 0, "fp_acos": 1}
+            assert calls == {"fp_sin_cos": 0, "fp_atan2": 1}
 
     def test_boundary_pairs_computed_once_per_ledger(self, calls):
         # five unit ranges above 45 degrees on a full-range base: a trade
@@ -557,18 +618,18 @@ class TestCarriedPairKernel:
         x, y = reserves_at_angle(CIRCLE, F(45), F(6))
         state = PoolState(reserves=(x, y), liquidity_scale=F(6), angle_deg=F(45))
         # reserves_at_angle reads its point through the counted fp_sin_cos
-        calls.update(fp_sin_cos=0, fp_acos=0)
+        calls.update(fp_sin_cos=0, fp_atan2=0)
         result = swap_across_ticks(CIRCLE, ledger, state, 0, F(6))
         crossed = len(result.segments) - 1
         assert crossed == 5 and result.segments[-1].angle_from_deg == F(50)
         assert calls["fp_sin_cos"] <= crossed
-        assert calls["fp_acos"] == 1
-        calls.update(fp_sin_cos=0, fp_acos=0)
+        assert calls["fp_atan2"] == 1
+        calls.update(fp_sin_cos=0, fp_atan2=0)
         again = swap_across_ticks(CIRCLE, ledger, state, 0, F(6))
         assert again == result
-        assert calls == {"fp_sin_cos": 0, "fp_acos": 1}
+        assert calls == {"fp_sin_cos": 0, "fp_atan2": 1}
         # a fresh ledger with the same boundaries reads the same table
-        calls.update(fp_sin_cos=0, fp_acos=0)
+        calls.update(fp_sin_cos=0, fp_atan2=0)
         fresh = swap_across_ticks(CIRCLE, build(), state, 0, F(6))
         assert fresh == result
-        assert calls == {"fp_sin_cos": 0, "fp_acos": 1}
+        assert calls == {"fp_sin_cos": 0, "fp_atan2": 1}
