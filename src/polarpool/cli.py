@@ -14,6 +14,7 @@ import csv
 import json
 import random
 import sys
+from dataclasses import replace
 
 from .errors import (
     DomainError,
@@ -45,14 +46,7 @@ from .invariant import (
 from .polar import angle_to_price, cartesian_to_polar, price_to_angle, reserves_at_angle
 from .poolfile import PoolFile, load, save
 from .swap import SwapQuote, csemm_y_of_x, other_reserve
-from .ticks import (
-    LpPosition,
-    SEGMENT_CSV_HEADER,
-    TickGrid,
-    TickLedger,
-    add_position,
-    route_swap,
-)
+from .ticks import LpPosition, TickGrid, TickLedger, add_position, route_swap
 
 F = FixedDecimal
 
@@ -141,8 +135,16 @@ def cmd_init(args) -> int:
 
 
 def _quote_payload(args, quote: SwapQuote, tick_result) -> dict:
-    payload = quote.to_dict()
-    payload["route"] = args.route
+    payload = {
+        "token_in": quote.token_in,
+        "token_out": quote.token_out,
+        "amount_in": str(quote.amount_in),
+        "amount_out": str(quote.amount_out),
+        "price_before": str(quote.price_before),
+        "price_after": str(quote.price_after),
+        "new_reserves": [str(r) for r in quote.new_reserves],
+        "route": args.route,
+    }
     if args.route == "polar":
         # the polar route is pair_swap's circle step, so the two routes
         # quote the same amount bit for bit
@@ -151,11 +153,13 @@ def _quote_payload(args, quote: SwapQuote, tick_result) -> dict:
         payload["segments"] = len(tick_result.segments)
         payload["final_angle_deg"] = str(tick_result.final_angle_deg)
         if args.trace_csv:
-            _write_csv(
-                [seg.to_csv_row() for seg in tick_result.segments],
-                SEGMENT_CSV_HEADER,
-                args.trace_csv,
-            )
+            rows = [
+                [str(seg.index), str(seg.angle_from_deg), str(seg.angle_to_deg),
+                 str(seg.liquidity), str(seg.delta_in), str(seg.delta_out)]
+                for seg in tick_result.segments
+            ]
+            _write_csv(rows, ["segment_index", "angle_from", "angle_to", "liquidity",
+                              "delta_in", "delta_out"], args.trace_csv)
             payload["trace_csv"] = args.trace_csv
     return payload
 
@@ -168,7 +172,7 @@ def cmd_trade(args) -> int:
         args.token_in, args.token_out, F(args.amount), args.exact_out,
     )
     if args.command == "swap":
-        save(args.pool, pool.with_state(state))
+        save(args.pool, replace(pool, state=state))
     _print_json(_quote_payload(args, quote, tick_result))
     return EXIT_OK
 
@@ -185,13 +189,15 @@ def _read_trade_log(path):
         rows = []
         last_seq = None
         for row in reader:
-            if len(row) != 4:
-                raise ValidationError(f"malformed trade row: {row}")
-            seq = int(row[0])
+            try:
+                seq, i, j, amount = row
+                seq, i, j = int(seq), int(i), int(j)
+            except ValueError as exc:
+                raise ValidationError(f"malformed trade row: {row}") from exc
             if last_seq is not None and seq <= last_seq:
                 raise ValidationError("seq must be strictly increasing")
             last_seq = seq
-            rows.append((seq, int(row[1]), int(row[2]), F(row[3])))
+            rows.append((seq, i, j, F(amount)))
     return rows
 
 
@@ -352,7 +358,7 @@ def cmd_hedge(args) -> int:
     prices = [p for p in _sample_grid(F(args.price_min), F(args.price_max),
                                       args.samples) if p > ZERO]
     curve = hedge_payoff(CurveParams(n=2), spec, prices, grid=grid)
-    _write_csv(curve.to_rows(), ["price", "payoff"], args.out)
+    _write_csv([[str(p), str(v)] for p, v in curve.samples], ["price", "payoff"], args.out)
     return EXIT_OK
 
 

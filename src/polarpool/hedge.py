@@ -72,9 +72,6 @@ class PayoffCurve:
         if any(b <= a for a, b in zip(prices, prices[1:])):
             raise ValidationError("prices must be strictly increasing")
 
-    def to_rows(self) -> list[list[str]]:
-        return [[str(p), str(v)] for p, v in self.samples]
-
 
 def position_value(params: CurveParams, position: LpPosition,
                    price: FixedDecimal) -> FixedDecimal:

@@ -11,7 +11,8 @@ Three curve families share one parameter record:
 
 ``liquidity_scale`` multiplies the unit curve: reserves x lie on the scaled
 curve iff x/s lies on the unit one. Pools are born on-curve by solving the
-scale from the initial reserves.
+scale from the initial reserves. The records here know no file format;
+``poolfile`` alone reads and writes them.
 """
 
 from __future__ import annotations
@@ -328,41 +329,3 @@ def spot_price(params: CurveParams, state: PoolState, token_in: int = 0,
     grad_ratio = fp_div(fp_pow(bx, bm1), den)
     price_xy = fp_mul(grad_ratio, params.c)
     return price_xy if (i, j) == (0, 1) else fp_div(ONE, price_xy)
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def pool_to_dict(params: CurveParams, state: PoolState) -> dict:
-    """Flat JSON-ready object with FixedDecimal string encoding."""
-    return {
-        "n": params.n,
-        "mode": params.mode,
-        "l": str(params.l),
-        "alphas": [str(a) for a in params.alphas] if params.alphas else None,
-        "beta": str(params.beta),
-        "c": str(params.c),
-        "reserves": [str(r) for r in state.reserves],
-        "liquidity_scale": str(state.liquidity_scale),
-        "angle_deg": str(state.angle_deg) if state.angle_deg is not None else None,
-    }
-
-
-def pool_from_dict(obj: dict) -> tuple[CurveParams, PoolState]:
-    try:
-        params = CurveParams(
-            n=int(obj["n"]),
-            mode=obj["mode"],
-            l=F(obj["l"]),
-            alphas=tuple(F(a) for a in obj["alphas"]) if obj.get("alphas") else None,
-            beta=F(obj["beta"]),
-            c=F(obj["c"]),
-        )
-        state = PoolState(
-            reserves=tuple(F(r) for r in obj["reserves"]),
-            liquidity_scale=F(obj["liquidity_scale"]),
-            angle_deg=F(obj["angle_deg"]) if obj.get("angle_deg") else None,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed pool object: {exc}") from exc
-    return params, state

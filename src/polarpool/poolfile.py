@@ -1,21 +1,29 @@
 """Pool persistence: one JSON document for params, state, and ledger.
 
-Serialization is canonical (sorted keys, two-space indent, trailing
-newline) so identical pools produce byte-identical files and replay runs
-can be diffed. Unknown format versions are rejected rather than guessed
-at.
+This is the only module that knows the pool-file format: ``dumps`` builds
+the whole document and ``loads`` reads it back. Serialization is
+canonical (sorted keys, two-space indent, trailing newline) so identical
+pools produce byte-identical files and replay runs can be diffed.
+``loads`` rejects unknown format versions and builds every record through
+its constructor, so a loaded pool obeys the rules of a built one, and a
+malformed file raises an engine error, never a bare ``KeyError`` or
+``ValueError``. ``save`` is atomic: a failed save leaves the old file.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import EngineError, ShapeError, ValidationError
 from .fixed import FixedDecimal
-from .invariant import CurveParams, PoolState, pool_from_dict, pool_to_dict
+from .invariant import CurveParams, PoolState
 from .ticks import LpPosition, TickGrid, TickLedger
+
+F = FixedDecimal
 
 FORMAT_VERSION = 1
 
@@ -26,48 +34,90 @@ class PoolFile:
     state: PoolState
     ledger: TickLedger
 
-    def with_state(self, state: PoolState) -> "PoolFile":
-        return PoolFile(params=self.params, state=state, ledger=self.ledger)
-
-
-def to_json_obj(pool: PoolFile) -> dict:
-    obj = pool_to_dict(pool.params, pool.state)
-    obj["format_version"] = FORMAT_VERSION
-    obj["tick_spacing_deg"] = str(pool.ledger.grid.spacing_deg)
-    obj["positions"] = pool.ledger.to_list()
-    return obj
-
-
-def from_json_obj(obj: dict) -> PoolFile:
-    version = obj.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValidationError(f"unknown format_version {version!r}")
-    params, state = pool_from_dict(obj)
-    try:
-        grid = TickGrid(spacing_deg=FixedDecimal(obj["tick_spacing_deg"]))
-        positions = tuple(LpPosition.from_dict(p) for p in obj["positions"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed pool file: {exc}") from exc
-    return PoolFile(params=params, state=state,
-                    ledger=TickLedger(grid=grid, positions=positions))
-
 
 def dumps(pool: PoolFile) -> str:
-    return json.dumps(to_json_obj(pool), sort_keys=True, indent=2) + "\n"
+    params, state, ledger = pool.params, pool.state, pool.ledger
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "n": params.n,
+        "mode": params.mode,
+        "l": str(params.l),
+        "alphas": [str(a) for a in params.alphas] if params.alphas else None,
+        "beta": str(params.beta),
+        "c": str(params.c),
+        "reserves": [str(r) for r in state.reserves],
+        "liquidity_scale": str(state.liquidity_scale),
+        "angle_deg": str(state.angle_deg) if state.angle_deg is not None else None,
+        "tick_spacing_deg": str(ledger.grid.spacing_deg),
+        "positions": [
+            {"id": p.id, "lower_deg": str(p.lower_deg), "upper_deg": str(p.upper_deg),
+             "liquidity": str(p.liquidity), "side": p.side}
+            for p in ledger.positions
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def loads(text: str) -> PoolFile:
     try:
-        obj = json.loads(text)
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValidationError("pool file must hold a JSON object")
+        version = doc.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValidationError(f"unknown format_version {version!r}")
+        params = CurveParams(
+            n=int(doc["n"]),
+            mode=doc["mode"],
+            l=F(doc["l"]),
+            alphas=tuple(F(a) for a in doc["alphas"]) if doc.get("alphas") else None,
+            beta=F(doc["beta"]),
+            c=F(doc["c"]),
+        )
+        state = PoolState(
+            reserves=tuple(F(r) for r in doc["reserves"]),
+            liquidity_scale=F(doc["liquidity_scale"]),
+            angle_deg=F(doc["angle_deg"]) if doc.get("angle_deg") else None,
+        )
+        if len(state.reserves) != params.n:
+            raise ShapeError(f"expected {params.n} reserves, got {len(state.reserves)}")
+        grid = TickGrid(spacing_deg=F(doc["tick_spacing_deg"]))
+        positions = tuple(
+            LpPosition(str(p["id"]), F(p["lower_deg"]), F(p["upper_deg"]),
+                       F(p["liquidity"]), p.get("side", "long"))
+            for p in doc["positions"]
+        )
+        ledger = TickLedger(grid=grid, positions=positions)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not a JSON pool file: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValidationError("pool file must hold a JSON object")
-    return from_json_obj(obj)
+    except EngineError:
+        # DomainError and ValidationError are ValueErrors too; keep their messages
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed pool file: {exc}") from exc
+    return PoolFile(params=params, state=state, ledger=ledger)
 
 
 def save(path: str | Path, pool: PoolFile) -> None:
-    Path(path).write_text(dumps(pool))
+    """Write a temp file next to the pool file, then rename it over.
+
+    The temp file, named after this process, is created exclusively, so a
+    concurrent save fails rather than write into it; it takes the pool
+    file's permission bits, and a failed save removes it.
+    """
+    path = Path(path)
+    text = dumps(pool)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        if path.exists():
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load(path: str | Path) -> PoolFile:

@@ -63,17 +63,6 @@ class SwapQuote:
     price_after: FixedDecimal
     new_reserves: tuple[FixedDecimal, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "token_in": self.token_in,
-            "token_out": self.token_out,
-            "amount_in": str(self.amount_in),
-            "amount_out": str(self.amount_out),
-            "price_before": str(self.price_before),
-            "price_after": str(self.price_after),
-            "new_reserves": [str(r) for r in self.new_reserves],
-        }
-
 
 def commit(state: PoolState, quote: SwapQuote) -> PoolState:
     """Apply a quote, returning the new pool state."""

@@ -70,8 +70,6 @@ from .polar import (
 )
 from .swap import SwapQuote, commit, effective_pair_circle, pair_swap
 
-F = FixedDecimal
-
 _NINETY_RAW = 90 * 10 ** 18
 
 
@@ -126,41 +124,38 @@ class LpPosition:
     def contains(self, angle_deg: FixedDecimal) -> bool:
         return self.lower_deg <= angle_deg < self.upper_deg
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "lower_deg": str(self.lower_deg),
-            "upper_deg": str(self.upper_deg),
-            "liquidity": str(self.liquidity),
-            "side": self.side,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "LpPosition":
-        return cls(
-            id=str(obj["id"]),
-            lower_deg=F(obj["lower_deg"]),
-            upper_deg=F(obj["upper_deg"]),
-            liquidity=F(obj["liquidity"]),
-            side=obj.get("side", "long"),
-        )
-
 
 @dataclass(frozen=True)
 class TickLedger:
-    """All registered positions on one grid."""
+    """All registered positions on one grid.
+
+    Every ledger, built or loaded, holds tick-aligned positions with
+    distinct ids, and its longs cover its shorts at every angle.
+    """
 
     grid: TickGrid = field(default_factory=TickGrid)
     positions: tuple[LpPosition, ...] = ()
+
+    def __post_init__(self):
+        spacing = self.grid.spacing_deg.raw
+        ids = set()
+        has_short = False
+        for p in self.positions:
+            # LpPosition keeps its bounds within [0, 90]
+            if p.lower_deg.raw % spacing or p.upper_deg.raw % spacing:
+                raise ValidationError("position bounds must be tick-aligned")
+            if p.id in ids:
+                raise ValidationError(f"duplicate position id {p.id!r}")
+            ids.add(p.id)
+            has_short = has_short or p.side == "short"
+        if has_short and any(total.raw < 0 for total in self.index[1]):
+            raise ValidationError("short liquidity exceeds long liquidity")
 
     def position(self, position_id: str) -> LpPosition:
         for p in self.positions:
             if p.id == position_id:
                 return p
         raise NotFoundError(position_id)
-
-    def to_list(self) -> list[dict]:
-        return [p.to_dict() for p in self.positions]
 
     @cached_property
     def index(self) -> tuple[tuple[int, ...], tuple[FixedDecimal, ...]]:
@@ -212,39 +207,23 @@ def active_liquidity(ledger: TickLedger, angle_deg: FixedDecimal) -> FixedDecima
     return total
 
 
-def _check_aggregate_non_negative(ledger: TickLedger):
-    if any(total < ZERO for total in ledger.index[1]):
-        raise ValidationError("short liquidity exceeds long liquidity")
-
-
 def add_position(ledger: TickLedger, position: LpPosition, *,
                  _from_hedge: bool = False) -> TickLedger:
-    """Register a position; bounds must sit on the grid.
+    """Register a position; the new ledger passes the ledger's checks.
 
     Short positions are constructible only through the hedge builder, and
     only while longs cover them everywhere.
     """
     if position.side == "short" and not _from_hedge:
         raise ValidationError("short positions are created by the hedge builder")
-    if not ledger.grid.is_aligned(position.lower_deg) or not ledger.grid.is_aligned(
-        position.upper_deg
-    ):
-        raise ValidationError("position bounds must be tick-aligned")
-    if any(p.id == position.id for p in ledger.positions):
-        raise ValidationError(f"duplicate position id {position.id!r}")
-    updated = replace(ledger, positions=ledger.positions + (position,))
-    if position.side == "short":
-        _check_aggregate_non_negative(updated)
-    return updated
+    return replace(ledger, positions=ledger.positions + (position,))
 
 
 def remove_position(ledger: TickLedger, position_id: str) -> TickLedger:
     """Drop a position by id; unknown ids raise NotFoundError."""
     ledger.position(position_id)
     remaining = tuple(p for p in ledger.positions if p.id != position_id)
-    updated = replace(ledger, positions=remaining)
-    _check_aggregate_non_negative(updated)
-    return updated
+    return replace(ledger, positions=remaining)
 
 
 def tick_width_in_price(grid: TickGrid, tick_index: int):
@@ -272,21 +251,6 @@ class SegmentFill:
     liquidity: FixedDecimal
     delta_in: FixedDecimal
     delta_out: FixedDecimal
-
-    def to_csv_row(self) -> list[str]:
-        return [
-            str(self.index),
-            str(self.angle_from_deg),
-            str(self.angle_to_deg),
-            str(self.liquidity),
-            str(self.delta_in),
-            str(self.delta_out),
-        ]
-
-
-SEGMENT_CSV_HEADER = [
-    "segment_index", "angle_from", "angle_to", "liquidity", "delta_in", "delta_out",
-]
 
 
 @dataclass(frozen=True)

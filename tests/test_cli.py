@@ -1,8 +1,11 @@
 """End-to-end CLI: pool lifecycle, routes, replay, emission, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from polarpool.cli import main
 from polarpool.fixed import FixedDecimal, WAD
@@ -348,6 +351,85 @@ class TestDeterminism:
         )
         assert code == 2
         assert "format_version" in err
+
+
+def edited_pool(capsys, tmp_path, edit):
+    """A default pool file whose JSON document ``edit`` has changed."""
+    pool_path = tmp_path / "p.json"
+    init_pool(capsys, pool_path)
+    doc = json.loads(pool_path.read_text())
+    edit(doc)
+    pool_path.write_text(json.dumps(doc))
+    return pool_path
+
+
+def quote(capsys, pool_path, route="cartesian"):
+    return run(capsys, "quote", "--pool", str(pool_path), "--token-in", "0",
+               "--token-out", "1", "--amount", "0.1", "--route", route)
+
+
+class TestMalformedInput:
+    def test_non_integer_token_count(self, tmp_path, capsys):
+        pool_path = edited_pool(capsys, tmp_path, lambda doc: doc.update(n="two"))
+        code, _, err = quote(capsys, pool_path)
+        assert code == 2
+        assert "invalid input: malformed pool file" in err
+
+    @pytest.mark.parametrize("route", ["cartesian", "polar", "ticks"])
+    def test_fewer_reserves_than_tokens(self, tmp_path, capsys, route):
+        pool_path = edited_pool(capsys, tmp_path, lambda doc: doc.update(reserves=["1"]))
+        code, _, err = quote(capsys, pool_path, route)
+        assert code == 2
+        assert "invalid input: expected 2 reserves, got 1" in err
+
+    @pytest.mark.parametrize("row", ["1,zero,1,0.1", "x,0,1,0.1", "1,0,1"])
+    def test_malformed_trade_row(self, tmp_path, capsys, row):
+        pool_path = tmp_path / "p.json"
+        init_pool(capsys, pool_path)
+        log = tmp_path / "log.csv"
+        log.write_text(f"seq,token_in,token_out,amount_in\n{row}\n")
+        code, _, err = run(capsys, "replay", "--pool", str(pool_path), "--log", str(log))
+        assert code == 2
+        assert "invalid input: malformed trade row" in err
+
+    @pytest.mark.parametrize("position, message", [
+        ({"id": "u", "lower_deg": "44.3", "upper_deg": "46.7", "liquidity": "1"},
+         "position bounds must be tick-aligned"),
+        ({"id": "base", "lower_deg": "40", "upper_deg": "50", "liquidity": "1"},
+         "duplicate position id 'base'"),
+        ({"id": "s", "lower_deg": "44", "upper_deg": "46", "liquidity": "2", "side": "short"},
+         "short liquidity exceeds long liquidity"),
+    ], ids=["unaligned", "duplicate-id", "uncovered-short"])
+    def test_ledger_rules_hold_on_load(self, tmp_path, capsys, position, message):
+        pool_path = edited_pool(capsys, tmp_path, lambda doc: doc["positions"].append(position))
+        code, _, err = quote(capsys, pool_path, "ticks")
+        assert code == 2
+        assert f"invalid input: {message}" in err
+
+    def test_failed_save_keeps_pool_file(self, tmp_path, capsys, monkeypatch):
+        pool_path = tmp_path / "p.json"
+        init_pool(capsys, pool_path)
+        before = pool_path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, _, err = run(capsys, "swap", "--pool", str(pool_path), "--token-in", "0",
+                           "--token-out", "1", "--amount", "0.1")
+        assert code == 2
+        assert "io error: rename refused" in err
+        assert pool_path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+
+    def test_save_keeps_file_mode(self, tmp_path, capsys):
+        pool_path = tmp_path / "p.json"
+        init_pool(capsys, pool_path)
+        pool_path.chmod(0o600)
+        code, _, err = run(capsys, "swap", "--pool", str(pool_path), "--token-in", "0",
+                           "--token-out", "1", "--amount", "0.1")
+        assert code == 0, err
+        assert pool_path.stat().st_mode & 0o777 == 0o600
 
 
 class TestConsoleScript:

@@ -14,14 +14,14 @@ from polarpool.invariant import (
     default_offset,
     eta,
     invariant_residual,
-    pool_from_dict,
-    pool_to_dict,
     price_peak_for_unit_crossing,
     shifted_ellipse_residual,
     solve_ccmm_scale,
     solve_csemm_scale,
     spot_price,
 )
+from polarpool.poolfile import PoolFile, dumps, loads
+from polarpool.ticks import TickLedger
 
 mpmath.mp.dps = 40
 
@@ -233,8 +233,8 @@ class TestValidationAndSerialization:
         p = CurveParams(n=2, mode="csemm", alphas=(F(4), F("-1.5")))
         st = PoolState(reserves=(ONE, F("2.25")), liquidity_scale=F("3.5"),
                        angle_deg=F(45))
-        obj = pool_to_dict(p, st)
-        p2, st2 = pool_from_dict(obj)
-        assert p2 == p
-        assert st2 == st
-        assert pool_to_dict(p2, st2) == obj
+        text = dumps(PoolFile(params=p, state=st, ledger=TickLedger()))
+        pool = loads(text)
+        assert pool.params == p
+        assert pool.state == st
+        assert dumps(pool) == text

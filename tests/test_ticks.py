@@ -106,6 +106,13 @@ class TestLedgerBookkeeping:
                 _from_hedge=True,
             )
 
+    def test_removing_cover_of_short_rejected(self):
+        ledger = add_position(TickLedger(), LpPosition("a", F(10), F(12), ONE))
+        ledger = add_position(ledger, LpPosition("s", F(10), F(11), ONE, side="short"),
+                              _from_hedge=True)
+        with pytest.raises(ValidationError, match="short liquidity exceeds long"):
+            remove_position(ledger, "a")
+
     def test_empty_ledger_zero_everywhere(self):
         ledger = TickLedger()
         for angle in [ZERO, F(45), F(90)]:
