@@ -322,8 +322,7 @@ def cmd_fingerprint(args) -> int:
     params = FingerprintParams(**fp_kwargs)
     rows = []
     if args.mode == "multimodal":
-        for k in range(args.samples):
-            theta = F.from_raw(HALF_PI.raw * k // (args.samples - 1))
+        for theta in _sample_grid(ZERO, HALF_PI, args.samples):
             rows.append([str(theta), str(multimodal_radius(params, theta))])
     else:
         fn = {"ccmm": fingerprint_ccmm, "cemm": fingerprint_cemm,

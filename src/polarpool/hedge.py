@@ -39,16 +39,11 @@ F = FixedDecimal
 
 @dataclass(frozen=True)
 class HedgeSpec:
-    """Depeg threshold, band width in degrees, and the long leg's size.
-
-    ``gap_deg`` separates the short band from the long one; the default 0
-    keeps them adjacent ("right below"), which gives the sharpest step.
-    """
+    """Depeg threshold, band width in degrees, and the long leg's size."""
 
     strike_price: FixedDecimal
     width_deg: FixedDecimal = field(default_factory=lambda: ONE)
     notional_liquidity: FixedDecimal = field(default_factory=lambda: ONE)
-    gap_deg: FixedDecimal = field(default_factory=lambda: ZERO)
 
     def __post_init__(self):
         if not (ZERO < self.strike_price < ONE):
@@ -57,8 +52,6 @@ class HedgeSpec:
             raise ValidationError("band width must be positive")
         if self.notional_liquidity <= ZERO:
             raise ValidationError("notional liquidity must be positive")
-        if self.gap_deg < ZERO:
-            raise ValidationError("band gap cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -105,31 +98,27 @@ def hedge_legs(params: CurveParams, grid, spec: HedgeSpec) -> tuple[LpPosition, 
     """
     if spec.width_deg.raw % grid.spacing_deg.raw:
         raise ValidationError("band width must be a multiple of the tick spacing")
-    if spec.gap_deg.raw % grid.spacing_deg.raw:
-        raise ValidationError("band gap must be a multiple of the tick spacing")
     strike_angle = _aligned_strike_angle(grid, spec)
-    long_lo = strike_angle
     long_hi = fp_add(strike_angle, spec.width_deg)
-    short_hi = fp_sub(strike_angle, spec.gap_deg)
-    short_lo = fp_sub(short_hi, spec.width_deg)
+    short_lo = fp_sub(strike_angle, spec.width_deg)
     if short_lo < ZERO or long_hi > NINETY:
         raise RangeError("hedge bands leave the [0, 90] degree range")
     long_leg = LpPosition(
         id=f"hedge:{spec.strike_price}:{spec.width_deg}:long",
-        lower_deg=long_lo,
+        lower_deg=strike_angle,
         upper_deg=long_hi,
         liquidity=spec.notional_liquidity,
     )
     x_long, _ = _LegMark(params, long_leg).full_amounts()
     probe_short = LpPosition(
-        id="probe", lower_deg=short_lo, upper_deg=short_hi, liquidity=ONE
+        id="probe", lower_deg=short_lo, upper_deg=strike_angle, liquidity=ONE
     )
     x_short_unit, _ = _LegMark(params, probe_short).full_amounts()
     short_liquidity = fp_div(x_long, x_short_unit)
     short_leg = LpPosition(
         id=f"hedge:{spec.strike_price}:{spec.width_deg}:short",
         lower_deg=short_lo,
-        upper_deg=short_hi,
+        upper_deg=strike_angle,
         liquidity=short_liquidity,
         side="short",
     )

@@ -122,8 +122,24 @@ class PoolState:
         if self.liquidity_scale <= ZERO:
             raise ValidationError("liquidity scale must be positive")
 
-    def with_reserves(self, reserves, angle_deg=None) -> "PoolState":
-        return replace(self, reserves=tuple(reserves), angle_deg=angle_deg)
+    def with_reserves(self, reserves) -> "PoolState":
+        return replace(self, reserves=tuple(reserves), angle_deg=None)
+
+
+def token_pair(params: CurveParams, token: int, other: int | None = None
+               ) -> tuple[int, int]:
+    """Checked pair of distinct token indices of the pool.
+
+    ``other`` defaults to the second token of a two-token pool and is
+    required when n > 2.
+    """
+    if other is None:
+        if params.n != 2:
+            raise ValidationError("partner token required for pools with n > 2")
+        other = 1 - token
+    if not (0 <= token < params.n and 0 <= other < params.n) or token == other:
+        raise ValidationError("bad token indices")
+    return token, other
 
 
 def ccmm_residual(params: CurveParams, reserves, scale: FixedDecimal = ONE) -> FixedDecimal:
@@ -293,9 +309,7 @@ def spot_price(params: CurveParams, state: PoolState, token_in: int = 0,
     Ratio of invariant partial derivatives; positive throughout the
     trading region of every supported mode.
     """
-    i, j = token_in, token_out
-    if not (0 <= i < params.n and 0 <= j < params.n) or i == j:
-        raise ValidationError("bad token indices")
+    i, j = token_pair(params, token_in, token_out)
     xs = state.reserves
     s = state.liquidity_scale
     if params.mode == "ccmm":

@@ -1,4 +1,4 @@
-"""Polar-coordinate swap route and price/angle conversion.
+"""Arc geometry: angles, arc points and price/angle conversion.
 
 A two-token circular pool is an arc of the circle centered at (L, L) with
 radius L = l * scale. Points on the trading arc are parameterized by the
@@ -18,18 +18,18 @@ place, and each direction has one conversion: :func:`arc_cos_sin` from an
 angle to the unit point (cos phi, sin phi), and :func:`point_angle` from a
 point R (cos phi, sin phi) back to the angle.
 
-The polar route rotates the reserve point along the arc. The rotation that
-adds ``delta`` to the in-reserve ends where the pair circle meets the new
+This module trades nothing. The polar route's rotation that adds
+``delta`` to the in-reserve ends where the pair circle meets the new
 in-reserve, so its out-reserve is the square root the appendix routine
-takes, L sqrt(1 - ratio^2): the route runs the pair-circle step of
-``swap.pair_swap``, correctly rounded, and forms no angle.
+takes, L sqrt(1 - ratio^2): ``ticks.route_swap`` runs it as the
+pair-circle step of ``swap.pair_swap``, correctly rounded, with no angle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, RangeError, ValidationError
+from .errors import DomainError, RangeError
 from .fixed import (
     FixedDecimal,
     ONE,
@@ -46,7 +46,6 @@ from .fixed import (
     fp_unit,
 )
 from .invariant import CurveParams, ON_CURVE_TOLERANCE, PoolState
-from .swap import SwapQuote, pair_swap
 
 F = FixedDecimal
 
@@ -163,8 +162,9 @@ def polar_swap_delta_y(params: CurveParams, x_in: FixedDecimal) -> FixedDecimal:
     Reproduces, step for step, the reference routine that rotates from the
     45-degree point using the 135-degree sine/cosine pair on a circle
     scaled by 10000. The scaling is part of the pinned output (the
-    documented result for x_in = 1 is 0.999958580363); production code
-    uses :func:`polar_swap_exact_in`, which drops the scaling.
+    documented result for x_in = 1 is 0.999958580363); the polar route of
+    ``ticks.route_swap`` drops the scaling and takes the same root through
+    ``swap.pair_swap``.
     """
     l_scaled = fp_mul(params.l, F(10000))
     radians_45 = fp_div(PI, F(4))
@@ -178,20 +178,3 @@ def polar_swap_delta_y(params: CurveParams, x_in: FixedDecimal) -> FixedDecimal:
         raise RangeError("rotation leaves the arc: radicand negative")
     return fp_add(fp_mul(l_scaled, fp_sqrt(radicand)), l_cos)
 
-
-def polar_swap_exact_in(params: CurveParams, state: PoolState, token_in: int,
-                        delta_in: FixedDecimal,
-                        token_out: int | None = None) -> SwapQuote:
-    """Swap by rotating the reserve point along the arc (polar route).
-
-    Same trade semantics as the Cartesian route, on circular pools only.
-    The rotation's out-reserve is the pair circle's square root at the new
-    in-reserve, which :func:`swap.pair_swap` computes correctly rounded, so
-    this route and the Cartesian one quote the same amounts bit for bit.
-    Pools with more than two tokens rotate on the pair circle.
-    """
-    if params.mode != "ccmm":
-        raise ValidationError("polar route needs a circular pool")
-    if delta_in < ZERO:
-        raise ValidationError("delta_in must be non-negative")
-    return pair_swap(params, state, token_in, delta_in, token_out)

@@ -58,6 +58,12 @@ def dumps(pool: PoolFile) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _json_list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a JSON list")
+    return value
+
+
 def loads(text: str) -> PoolFile:
     try:
         doc = json.loads(text)
@@ -66,16 +72,22 @@ def loads(text: str) -> PoolFile:
         version = doc.get("format_version")
         if version != FORMAT_VERSION:
             raise ValidationError(f"unknown format_version {version!r}")
+        n, alphas = doc["n"], doc.get("alphas")
+        # bool is an int subclass, and JSON true is no token count
+        if type(n) is not int:
+            raise TypeError("n must be a JSON integer")
+        if alphas is not None:
+            alphas = tuple(F(a) for a in _json_list(alphas, "alphas")) or None
         params = CurveParams(
-            n=int(doc["n"]),
+            n=n,
             mode=doc["mode"],
             l=F(doc["l"]),
-            alphas=tuple(F(a) for a in doc["alphas"]) if doc.get("alphas") else None,
+            alphas=alphas,
             beta=F(doc["beta"]),
             c=F(doc["c"]),
         )
         state = PoolState(
-            reserves=tuple(F(r) for r in doc["reserves"]),
+            reserves=tuple(F(r) for r in _json_list(doc["reserves"], "reserves")),
             liquidity_scale=F(doc["liquidity_scale"]),
             angle_deg=F(doc["angle_deg"]) if doc.get("angle_deg") else None,
         )
@@ -85,7 +97,7 @@ def loads(text: str) -> PoolFile:
         positions = tuple(
             LpPosition(str(p["id"]), F(p["lower_deg"]), F(p["upper_deg"]),
                        F(p["liquidity"]), p.get("side", "long"))
-            for p in doc["positions"]
+            for p in _json_list(doc["positions"], "positions")
         )
         ledger = TickLedger(grid=grid, positions=positions)
     except json.JSONDecodeError as exc:

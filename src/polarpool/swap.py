@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     InsufficientLiquidityError,
     NumericError,
-    ValidationError,
 )
 from .fixed import (
     FixedDecimal,
@@ -41,6 +40,7 @@ from .invariant import (
     eta,
     invariant_residual,
     spot_price,
+    token_pair,
 )
 
 F = FixedDecimal
@@ -78,9 +78,7 @@ def effective_pair_circle(params: CurveParams, reserves, scale: FixedDecimal,
     restricts the traded pair to a circle centered at (L, L), L = l * scale,
     with squared radius L^2 - sum_k (x_k - L)^2 over the spectator tokens.
     """
-    i, j = token_in, token_out
-    if not (0 <= i < params.n and 0 <= j < params.n) or i == j:
-        raise ValidationError("bad token indices")
+    i, j = token_pair(params, token_in, token_out)
     offset = fp_mul(params.l, scale)
     if params.n == 2:
         return offset, offset
@@ -111,8 +109,6 @@ def other_reserve(params: CurveParams, state: PoolState, token: int, other: int,
         if value < ZERO or value > offset or d > radius:
             raise DomainError("reserve outside the circular arc")
         return fp_sub(offset, fp_sqrt_diff_squares(radius, d))
-    if params.n != 2:
-        raise ValidationError("superelliptical swaps are two-token only")
     if value < ZERO:
         raise DomainError("negative reserve")
     if params.mode == "csemm":
@@ -122,6 +118,11 @@ def other_reserve(params: CurveParams, state: PoolState, token: int, other: int,
             raise DomainError("reserve beyond the trading arc (negative price region)")
         t = fp_pow(abs(fp_sub(fp_div(unit, a_k), ONE)), eta(a_k))
         inner = fp_sub(ONE, t)
+        # the spectators' terms, in csemm_residual's form, stay fixed
+        for k, (x, a) in enumerate(zip(state.reserves, params.alphas)):
+            if k not in (token, other):
+                u = fp_sub(fp_div(x, fp_mul(a, s)), ONE)
+                inner = fp_sub(inner, fp_pow(abs(u), eta(a)))
         if inner < ZERO:
             raise DomainError("off-curve request: |x/alpha - 1|^eta exceeds 1")
         w = fp_pow(inner, fp_div(ONE, eta(a_o)))
@@ -162,12 +163,7 @@ def pair_swap(params: CurveParams, state: PoolState, token: int,
     pool and solves what ``other`` must pay. ``other`` defaults to the
     second token of a two-token pool and is required when n > 2.
     """
-    if other is None:
-        if params.n != 2:
-            raise ValidationError("partner token required for pools with n > 2")
-        other = 1 - token
-    if not (0 <= token < params.n and 0 <= other < params.n) or token == other:
-        raise ValidationError("bad token indices")
+    token, other = token_pair(params, token, other)
     token_in, token_out = (token, other) if delta >= ZERO else (other, token)
     if delta.is_zero():
         price = spot_price(params, state, token_in, token_out)

@@ -14,7 +14,10 @@ there, and at a boundary the virtual reserves re-anchor to the new
 circle at the same angle, which keeps the marginal price (cot of the
 angle) continuous across the crossing. The walk always moves the angle
 up: selling token 1 of a two-token pool is the same walk in the mirror
-angle 90 - phi, on the ledger's mirrored index.
+angle 90 - phi, on the ledger's mirrored index. The walk searches the
+index once, for the segment that holds its start angle, and then moves a
+cursor one segment up at each boundary it reaches, the way Uniswap v3
+steps from tick to next initialized tick.
 
 The walk carries the point, not the angle: (x, y) = R (cos phi, sin phi),
 the in- and out-reserves' distances below the centre of a circle of
@@ -59,18 +62,17 @@ from .fixed import (
     fp_sqrt_diff_squares,
     fp_sub,
 )
-from .invariant import CurveParams, PoolState
+from .invariant import CurveParams, PoolState, token_pair
 from .polar import (
     NINETY,
     angle_of_state,
     angle_to_price,
     boundary_cos_sin,
     point_angle,
-    polar_swap_exact_in,
 )
 from .swap import SwapQuote, commit, effective_pair_circle, pair_swap
 
-_NINETY_RAW = 90 * 10 ** 18
+_NINETY_RAW = NINETY.raw
 
 
 @dataclass(frozen=True)
@@ -276,20 +278,13 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
         raise ValidationError("tick traversal is defined on circular pools")
     if delta_in < ZERO:
         raise ValidationError("delta_in must be non-negative")
-    if token_out is None:
-        if params.n != 2:
-            raise ValidationError("token_out required for pools with n > 2")
-        token_out = 1 - token_in
-    i, j = token_in, token_out
-    if i == j or not (0 <= i < params.n) or not (0 <= j < params.n):
-        raise ValidationError("bad token indices")
+    i, j = token_pair(params, token_in, token_out)
 
     # trade orientation: the in-token on the cosine axis, the out-token on
     # the sine axis, so selling always moves the angle up. Ledger angles
     # are canonical (token 0 in); selling token 1 walks the mirror image.
     mirrored = params.n == 2 and i == 1
-    index = ledger.mirrored_index if mirrored else ledger.index
-    raws = index[0]
+    raws, totals = ledger.mirrored_index if mirrored else ledger.index
     if params.n > 2 and any(raw not in (0, _NINETY_RAW) for raw in raws):
         raise ValidationError(
             "tick crossings are two-token only; n-dim pools need a uniform ledger"
@@ -318,6 +313,10 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
     filled_in = ZERO
     filled_out = ZERO
     segments: list[SegmentFill] = []
+    # the cursor: segment k - 1 holds phi and raws[k] is the next stop. A
+    # state committed a hair before the start of the walk, where a trade
+    # that exhausted the arc left it, trades on the first segment
+    k = bisect_right(raws, max(phi.raw, 0))
     # a zero trade is the zero quote: no segment, so no rounded root
     while remaining > ZERO:
         if phi.raw >= _NINETY_RAW:
@@ -326,9 +325,7 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
                 filled_in=filled_in, filled_out=filled_out,
                 boundary_angle_deg=canonical(NINETY),
             )
-        # a state committed a hair before the start of the walk, where a
-        # trade that exhausted the arc left it, trades on the first segment
-        active = _active(index, max(phi.raw, 0))
+        active = totals[k - 1] if k else ZERO
         if active <= ZERO:
             raise InsufficientLiquidityError(
                 "ran out of liquidity at a dead segment",
@@ -339,8 +336,9 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
             scale = active
             offset, circle, x, y = reanchor(scale)
 
-        k = bisect_right(raws, phi.raw)
-        stop = FixedDecimal.from_raw(raws[k]) if k < len(raws) else NINETY
+        # every position's deltas sum to zero, so no liquidity lies above
+        # the last boundary and a live segment always has one above it
+        stop = FixedDecimal.from_raw(raws[k])
         cos_stop, sin_stop = boundary_cos_sin(stop.raw)
         x_stop = fp_mul(circle, cos_stop)
         capacity = fp_sub(x, x_stop)
@@ -366,12 +364,13 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
         filled_out = fp_add(filled_out, out)
         remaining = fp_sub(remaining, step)
         phi, x, y = end, x_end, y_end
+        if end == stop:
+            k += 1
 
-    # a walk that ends on a boundary goes on from the circle above it,
-    # unless the arc above is empty
-    above = _active(index, phi.raw)
-    if segments and above > ZERO and above != scale:
-        scale = above
+    # the cursor's segment holds the final angle: a walk that ends on a
+    # boundary goes on from the circle above it, unless that arc is empty
+    if segments and ZERO < totals[k - 1] != scale:
+        scale = totals[k - 1]
         offset, circle, x, y = reanchor(scale)
     reserves[i] = fp_sub(offset, x)
     reserves[j] = fp_sub(offset, y)
@@ -413,28 +412,24 @@ def route_swap(params: CurveParams, ledger: TickLedger, state: PoolState, route:
     """Quote a trade on ``route`` and commit it.
 
     ``route`` is ``cartesian``, ``polar`` or ``ticks``; ``amount`` is the
-    input, or with ``exact_out`` (Cartesian route, two-token pools) the
-    output. Returns the quote, the state after the trade and the tick
-    result, which is None off the tick route.
+    input, or with ``exact_out`` (Cartesian route) the output. The polar
+    route is the Cartesian route's ``pair_swap`` on circular pools, where
+    it takes the pair-circle step. Returns the quote, the state after the
+    trade and the tick result, which is None off the tick route.
     """
-    i, j = token_in, token_out
-    if i == j or not (0 <= i < params.n) or not (0 <= j < params.n):
-        raise ValidationError("bad token indices")
     if amount < ZERO:
         raise ValidationError("amount must be non-negative")
     if exact_out:
         if route != "cartesian":
             raise ValidationError("--exact-out is a cartesian-route feature")
-        if params.n != 2:
-            raise ValidationError("--exact-out needs a two-token pool")
-        quote = pair_swap(params, state, j, -amount, i)
-    elif route == "cartesian":
-        quote = pair_swap(params, state, i, amount, j)
-    elif route == "polar":
-        quote = polar_swap_exact_in(params, state, i, amount, token_out=j)
+        quote = pair_swap(params, state, token_out, -amount, token_in)
     elif route == "ticks":
-        result = swap_across_ticks(params, ledger, state, i, amount, token_out=j)
+        result = swap_across_ticks(params, ledger, state, token_in, amount, token_out)
         return result.quote, commit_tick_swap(state, result), result
+    elif route in ("cartesian", "polar"):
+        if route == "polar" and params.mode != "ccmm":
+            raise ValidationError("polar route needs a circular pool")
+        quote = pair_swap(params, state, token_in, amount, token_out)
     else:
         raise ValidationError(f"unknown route {route!r}")
     return quote, commit(state, quote), None

@@ -35,7 +35,6 @@ from polarpool.invariant import (
 from polarpool.polar import (
     angle_to_price,
     polar_swap_delta_y,
-    polar_swap_exact_in,
     price_to_angle,
     reserves_at_angle,
 )
@@ -48,6 +47,7 @@ from polarpool.ticks import (
     active_liquidity,
     add_position,
     remove_position,
+    route_swap,
     swap_across_ticks,
     tick_width_in_price,
 )
@@ -125,7 +125,8 @@ def test_c04_path_equivalence():
             token_in = rng.randrange(2)
             room = fp_sub(L, state.reserves[token_in])
             delta = F.from_raw(rng.randrange(1, max(2, room.raw)))
-            qp = polar_swap_exact_in(CIRCLE, state, token_in, delta)
+            qp, _, _ = route_swap(CIRCLE, TickLedger(), state, "polar",
+                                  token_in, 1 - token_in, delta)
             qc = pair_swap(CIRCLE, state, token_in, delta)
             assert abs(qp.amount_out.raw - qc.amount_out.raw) <= 10 ** 9
         assert time.perf_counter() - t0 < 5.0

@@ -147,6 +147,32 @@ class TestQuoteSwap:
         assert quote["amount_out"] == "0.1"
         assert quote["token_in"] == 1
 
+    def test_three_token_csemm_pool_trades(self, tmp_path, capsys):
+        pool_path = tmp_path / "c3.json"
+        init_pool(capsys, pool_path, "--mode", "csemm", "--n", "3", "--alphas", "4,6,10")
+        for i, j in [(0, 1), (1, 2), (2, 0)]:
+            code, out, err = run(
+                capsys, "quote", "--pool", str(pool_path),
+                "--token-in", str(i), "--token-out", str(j), "--amount", "0.1",
+            )
+            assert code == 0, err
+            assert F(json.loads(out)["amount_out"]) > F(0)
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "csemm", "--alphas", "4,4,4"]],
+                             ids=["ccmm", "csemm"])
+    def test_three_token_exact_out(self, tmp_path, capsys, mode):
+        pool_path = tmp_path / "p3.json"
+        init_pool(capsys, pool_path, "--n", "3", *mode)
+        code, out, err = run(
+            capsys, "swap", "--pool", str(pool_path),
+            "--token-in", "2", "--token-out", "0", "--amount", "0.25", "--exact-out",
+        )
+        assert code == 0, err
+        quote = json.loads(out)
+        assert (quote["token_in"], quote["token_out"]) == (2, 0)
+        assert quote["amount_out"] == "0.25"
+        assert load(pool_path).state.reserves[1] == F(1)
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         pool_path = tmp_path / "p.json"
         init_pool(capsys, pool_path)
@@ -298,6 +324,14 @@ class TestEmission:
         assert all(F("0.999999999999999") <= v <= F("1.1") for v in values)
 
 
+    def test_multimodal_needs_two_samples(self, capsys):
+        code, out, err = run(capsys, "fingerprint", "--mode", "multimodal",
+                             "--samples", "1")
+        assert code == 2
+        assert out == ""
+        assert "need at least 2 samples" in err
+
+
 class TestConvert:
     def test_price_to_angle(self, capsys):
         code, out, _ = run(capsys, "convert", "--price", "0.8")
@@ -371,6 +405,17 @@ def quote(capsys, pool_path, route="cartesian"):
 class TestMalformedInput:
     def test_non_integer_token_count(self, tmp_path, capsys):
         pool_path = edited_pool(capsys, tmp_path, lambda doc: doc.update(n="two"))
+        code, _, err = quote(capsys, pool_path)
+        assert code == 2
+        assert "invalid input: malformed pool file" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.9), ("n", "2"), ("n", True), ("reserves", "11"), ("alphas", "44"),
+        ("positions", {}),
+    ], ids=["n-float", "n-string", "n-bool", "reserves-string", "alphas-string",
+            "positions-object"])
+    def test_mistyped_field(self, tmp_path, capsys, field, value):
+        pool_path = edited_pool(capsys, tmp_path, lambda doc: doc.update({field: value}))
         code, _, err = quote(capsys, pool_path)
         assert code == 2
         assert "invalid input: malformed pool file" in err

@@ -115,13 +115,6 @@ class TestBuildHedge:
         with pytest.raises(ValidationError):
             HedgeSpec(F("0.95"), width_deg=ZERO)
 
-    def test_gap_separates_bands(self):
-        spec = HedgeSpec(F("0.95"), gap_deg=F(2))
-        long_leg, short_leg = hedge_legs(CIRCLE, TickGrid(), spec)
-        assert long_leg.lower_deg == F(46)
-        assert short_leg.upper_deg == F(44)
-        assert short_leg.lower_deg == F(43)
-
     def test_bands_must_fit(self):
         # strike near 0 maps to ~89-90 degrees; a wide band falls off the end
         with pytest.raises(RangeError):

@@ -19,6 +19,7 @@ from polarpool.invariant import (
     solve_ccmm_scale,
     solve_csemm_scale,
     spot_price,
+    token_pair,
 )
 from polarpool.poolfile import PoolFile, dumps, loads
 from polarpool.ticks import TickLedger
@@ -214,6 +215,19 @@ class TestSpotPrice:
         st = PoolState(reserves=(TWO, F("0.5")))
         # price of x in y on xy=1 at (2, 1/2) is y/x = 1/4
         assert abs(spot_price(p, st).raw - WAD // 4) <= 10 ** 4
+
+
+class TestTokenPair:
+    def test_partner_defaults_on_two_token_pools_only(self):
+        assert token_pair(CurveParams(n=2), 1) == (1, 0)
+        assert token_pair(CurveParams(n=3), 2, 0) == (2, 0)
+        with pytest.raises(ValidationError, match="partner token required"):
+            token_pair(CurveParams(n=3), 0)
+
+    @pytest.mark.parametrize("token, other", [(0, 0), (0, 2), (-1, 0), (2, None)])
+    def test_bad_pair_rejected(self, token, other):
+        with pytest.raises(ValidationError, match="bad token indices"):
+            token_pair(CurveParams(n=2), token, other)
 
 
 class TestValidationAndSerialization:

@@ -19,17 +19,24 @@ from polarpool.polar import (
     boundary_cos_sin,
     cartesian_to_polar,
     polar_swap_delta_y,
-    polar_swap_exact_in,
     price_to_angle,
     reserves_at_angle,
 )
 from polarpool.swap import ccmm_y_of_x, commit, pair_swap
+from polarpool.ticks import TickLedger, route_swap
 
 mpmath.mp.dps = 40
 
 F = FixedDecimal
 CIRCLE = CurveParams(n=2)
 UNIT_STATE = PoolState(reserves=(ONE, ONE))
+
+
+def polar_quote(params, state, token_in, delta):
+    """Quote of a two-token trade on the polar route."""
+    quote, _, _ = route_swap(params, TickLedger(), state, "polar",
+                             token_in, 1 - token_in, delta)
+    return quote
 
 
 def to_mp(x: FixedDecimal) -> mpmath.mpf:
@@ -166,7 +173,7 @@ class TestAppendixRoutine:
     def test_clean_route_matches_cartesian_at_45(self):
         # without the 10000-fold scaling, the rotation from (1,1) is the
         # closed-form swap: the same square root, bit for bit
-        assert polar_swap_exact_in(CIRCLE, UNIT_STATE, 0, ONE) == pair_swap(
+        assert polar_quote(CIRCLE, UNIT_STATE, 0, ONE) == pair_swap(
             CIRCLE, UNIT_STATE, 0, ONE)
 
 
@@ -180,7 +187,7 @@ class TestPathEquivalence:
             token_in = rng.randrange(2)
             room = fp_sub(CIRCLE.l, state.reserves[token_in])
             delta = F.from_raw(rng.randrange(1, max(2, room.raw)))
-            qp = polar_swap_exact_in(CIRCLE, state, token_in, delta)
+            qp = polar_quote(CIRCLE, state, token_in, delta)
             qc = pair_swap(CIRCLE, state, token_in, delta)
             assert abs(qp.amount_out.raw - qc.amount_out.raw) <= 10 ** 9  # 1e-9
 
@@ -193,13 +200,13 @@ class TestPathEquivalence:
             if room.raw < 10 ** 9:
                 break
             delta = F.from_raw(rng.randrange(1, room.raw // 2 + 1))
-            q = polar_swap_exact_in(CIRCLE, state, token_in, delta)
+            q = polar_quote(CIRCLE, state, token_in, delta)
             state = commit(state, q)
             # |r^2 - L^2| = |r - L| (r + L): a radius within 1e-9 of L
             assert abs(ccmm_residual(CIRCLE, state.reserves).raw) <= 2 * CIRCLE.l.raw // 10 ** 9
 
     def test_angle_cache_matches_geometry(self):
-        q = polar_swap_exact_in(CIRCLE, UNIT_STATE, 0, ONE)
+        q = polar_quote(CIRCLE, UNIT_STATE, 0, ONE)
         state = UNIT_STATE.with_reserves(q.new_reserves)
         geometric = angle_of_state(CIRCLE, state)
         # the quote's cached angle is attached by the tick layer; here we
@@ -235,6 +242,6 @@ class TestPathEquivalence:
             moved = mpmath.mpf(state.reserves[token_in].raw + delta.raw)
             partner = offset.raw - mpmath.sqrt(offset.raw ** 2 - (offset.raw - moved) ** 2)
             exact_out = state.reserves[j].raw - partner
-            for quote in (polar_swap_exact_in(CIRCLE, state, token_in, delta),
+            for quote in (polar_quote(CIRCLE, state, token_in, delta),
                           pair_swap(CIRCLE, state, token_in, delta)):
                 assert abs(quote.amount_out.raw - exact_out) <= 1

@@ -293,3 +293,26 @@ class TestUnequalCurves:
         assert q.amount_in > ZERO and q.amount_out > ZERO
         assert q.token_in == (token if sell else 1 - token)
         assert abs(invariant_residual(params, commit(state, q))) <= ON_CURVE_TOLERANCE
+
+    @settings(max_examples=60, deadline=None)
+    @given(alphas=st.sampled_from([(4, 6, 10), (10, 4, 6), (-1, -1, -1)]),
+           pair=st.permutations(range(3)), permille=st.integers(1, 900))
+    def test_three_token_csemm_sell_and_buy_back_stay_on_curve(self, alphas, pair,
+                                                               permille):
+        # the superellipse step holds the spectator's term fixed, as the
+        # pair circle holds the spectator reserves
+        params = CurveParams(n=3, mode="csemm", alphas=tuple(F(a) for a in alphas))
+        reserves = (ONE, ONE, ONE)
+        state = PoolState(reserves, liquidity_scale=solve_csemm_scale(params, reserves))
+        token, other, spectator = pair
+        delta = F.from_fraction(permille, 1000)
+        sell = pair_swap(params, state, token, delta, other)
+        mid = commit(state, sell)
+        assert sell.amount_out > ZERO
+        assert abs(invariant_residual(params, mid)) <= ON_CURVE_TOLERANCE
+        buy = pair_swap(params, mid, token, -delta, other)
+        back = commit(mid, buy)
+        assert (buy.token_in, buy.token_out, buy.amount_out) == (other, token, delta)
+        assert abs(invariant_residual(params, back)) <= ON_CURVE_TOLERANCE
+        assert back.reserves[token] == ONE and back.reserves[spectator] == ONE
+        assert abs(back.reserves[other].raw - WAD) <= 10 ** 9

@@ -1,7 +1,9 @@
 """Tick ledger vs brute force; tick swaps vs numerical integration."""
 
+import bisect
 import math
 import random
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -17,9 +19,10 @@ from polarpool.errors import (
 )
 from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sub
 from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
-from polarpool.polar import NINETY, polar_swap_exact_in, reserves_at_angle
+from polarpool.polar import NINETY, reserves_at_angle
 from polarpool.swap import pair_swap
 import polarpool.polar
+import polarpool.ticks
 from polarpool.ticks import (
     LpPosition,
     TickGrid,
@@ -28,6 +31,7 @@ from polarpool.ticks import (
     add_position,
     commit_tick_swap,
     remove_position,
+    route_swap,
     swap_across_ticks,
     tick_width_in_price,
 )
@@ -457,7 +461,8 @@ class TestCarriedPairKernel:
         assume(delta > ZERO)
         result = swap_across_ticks(CIRCLE, ledger, state, token_in, delta)
         assert len(result.segments) == 1
-        for ref in (polar_swap_exact_in(CIRCLE, state, token_in, delta),
+        for ref in (route_swap(CIRCLE, ledger, state, "polar", token_in, 1 - token_in,
+                               delta)[0],
                     pair_swap(CIRCLE, state, token_in, delta)):
             assert result.quote.amount_out == ref.amount_out
             assert result.quote.new_reserves == ref.new_reserves
@@ -640,3 +645,75 @@ class TestCarriedPairKernel:
         fresh = swap_across_ticks(CIRCLE, build(), state, 0, F(6))
         assert fresh == result
         assert calls == {"fp_sin_cos": 0, "fp_atan2": 1}
+
+
+class TestSegmentCursor:
+    """The walk searches the ledger index once and then steps segment by segment."""
+
+    @staticmethod
+    def ladder():
+        """Twelve unit ranges on [45, 57] over a full-range base of 5."""
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, F(5)))
+        for k in range(12):
+            ledger = add_position(ledger, LpPosition(
+                f"r{k}", F(45 + k), F(46 + k), F(k + 1)))
+        return ledger
+
+    @pytest.mark.parametrize("token_in, amount, segments", [
+        (0, "0.01", 1), (0, "1", 4), (0, "5", 11), (0, "8", 13), (0, "20", None),
+        (1, "1", 1), (1, "20", None),
+    ])
+    def test_one_index_search_per_walk(self, monkeypatch, token_in, amount, segments):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bisect.bisect_right(*args)
+
+        monkeypatch.setattr(polarpool.ticks, "bisect_right", counted)
+        ledger = self.ladder()
+        x, y = reserves_at_angle(CIRCLE, F(45), F(6))
+        state = PoolState(reserves=(x, y), liquidity_scale=F(6), angle_deg=F(45))
+        outcome = tick_outcome(ledger, state, token_in, F(amount))
+        if segments is None:
+            # 20 exceeds the room to the arc end, which stops the walk
+            assert isinstance(outcome, InsufficientLiquidityError)
+        else:
+            assert len(outcome.segments) == segments
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cached, walk_raw, token_in", [
+        (F.from_raw(-1203), 5 * 10 ** 11, 0),
+        (F.from_raw(90 * WAD + 1203), 90 * WAD - 5 * 10 ** 11, 1),
+    ])
+    def test_out_of_arc_cached_angle_opens_no_negative_segment(self, cached, walk_raw,
+                                                               token_in):
+        # a pool file written before exact boundary landing can cache an
+        # angle a few quanta past an arc end while its reserves sit a hair
+        # inside the arc; the trade is one segment on the first range
+        ledger = add_position(TickLedger(grid=TickGrid(spacing_deg=F("0.5"))),
+                              LpPosition("base", ZERO, NINETY, ONE))
+        state = PoolState(reserves=reserves_at_angle(CIRCLE, F.from_raw(walk_raw)),
+                          angle_deg=cached)
+        result = swap_across_ticks(CIRCLE, ledger, state, token_in, F("0.1"))
+        assert [s.delta_in for s in result.segments] == [F("0.1")]
+        assert all(s.delta_out > ZERO for s in result.segments)
+        uncached = swap_across_ticks(CIRCLE, ledger, replace(state, angle_deg=None),
+                                     token_in, F("0.1"))
+        assert result.quote == uncached.quote
+
+    def test_end_rounded_onto_the_stop_moves_the_cursor(self):
+        # a trade a quantum short of the boundary ends inside the segment,
+        # but its rounded end angle clamps onto the boundary; the pool then
+        # goes on from the circle above it, as after an exact fill
+        ledger = add_position(TickLedger(grid=TickGrid(spacing_deg=F("0.5"))),
+                              LpPosition("base", ZERO, NINETY, F(10)))
+        ledger = add_position(ledger, LpPosition("step", F(45), F("45.5"), F(2)))
+        start = F("44.9")
+        state = PoolState(reserves=reserves_at_angle(CIRCLE, start, F(10)),
+                          liquidity_scale=F(10), angle_deg=start)
+        capacity = swap_across_ticks(CIRCLE, ledger, state, 0, F("0.5")).segments[0].delta_in
+        short = swap_across_ticks(CIRCLE, ledger, state, 0, capacity - F.from_raw(1))
+        assert len(short.segments) == 1
+        assert short.final_angle_deg == F(45)
+        assert short.final_liquidity == F(12)
