@@ -45,7 +45,7 @@ from .invariant import (
 )
 from .polar import angle_to_price, cartesian_to_polar, price_to_angle, reserves_at_angle
 from .poolfile import PoolFile, load, save
-from .swap import SwapQuote, csemm_y_of_x, other_reserve
+from .swap import SwapQuote, y_of_x
 from .ticks import LpPosition, TickGrid, TickLedger, add_position, route_swap
 
 F = FixedDecimal
@@ -289,19 +289,16 @@ def cmd_curve(args) -> int:
         for angle in _sample_grid(ZERO, F(90), args.samples):
             x, y = reserves_at_angle(params, angle)
             rows.append([str(x), str(y)])
-    elif args.mode == "csemm":
-        a_x = params.alphas[0]
-        if a_x > ONE:
-            x_lo, x_hi = ZERO, a_x
+    else:
+        if args.mode == "shifted":
+            x_lo, x_hi = ZERO, params.l
+        elif params.alphas[0] > ONE:
+            x_lo, x_hi = ZERO, params.alphas[0]
         else:
             # negative-alpha curves have hyperbolic tails; sweep a window
             x_lo, x_hi = F("0.1"), fp_mul(params.l, F(3))
         for x in _sample_grid(x_lo, x_hi, args.samples):
-            rows.append([str(x), str(csemm_y_of_x(params, x))])
-    else:
-        unit = PoolState(reserves=(ZERO, ZERO))
-        for x in _sample_grid(ZERO, params.l, args.samples):
-            rows.append([str(x), str(other_reserve(params, unit, 0, 1, x))])
+            rows.append([str(x), str(y_of_x(params, x))])
     _write_csv(rows, ["x", "y"], args.out)
     return EXIT_OK
 

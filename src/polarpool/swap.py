@@ -137,15 +137,12 @@ def other_reserve(params: CurveParams, state: PoolState, token: int, other: int,
     return fp_mul(params.c, other_unit) if other == 1 else other_unit
 
 
-def ccmm_y_of_x(params: CurveParams, x: FixedDecimal,
-                scale: FixedDecimal = ONE) -> FixedDecimal:
-    """Lower-arc solution y = L - sqrt(L^2 - (x - L)^2) with L = l * scale."""
-    return other_reserve(params, PoolState((ZERO, ZERO), scale), 0, 1, x)
+def y_of_x(params: CurveParams, x: FixedDecimal,
+           scale: FixedDecimal = ONE) -> FixedDecimal:
+    """Reserve of token 1 on a two-token pool's trading branch at ``x``.
 
-
-def csemm_y_of_x(params: CurveParams, x: FixedDecimal,
-                 scale: FixedDecimal = ONE) -> FixedDecimal:
-    """Superellipse lower branch: y from x on the trading arc."""
+    The circle gives y = L - sqrt(L^2 - (x - L)^2) with L = l * scale.
+    """
     return other_reserve(params, PoolState((ZERO, ZERO), scale), 0, 1, x)
 
 

@@ -1,0 +1,83 @@
+"""The one exact reference of the tests: every reference quantity once.
+
+Exact integers decide rounded square roots; mpmath, at the precision of
+the autouse fixture in ``conftest.py`` or of a test's own ``workdps``
+block, serves only where the answer is transcendental. Nothing here calls
+the engine's arithmetic.
+"""
+
+import math
+
+import mpmath
+from hypothesis import strategies as st
+
+from polarpool.fixed import WAD, ZERO
+
+
+def to_mp(x):
+    """A fixed-point value as an mpmath number at the working precision."""
+    return mpmath.mpf(x.raw) / WAD
+
+
+# raws of every length from lo to hi digits: log-uniform magnitudes, where
+# plain st.integers favours small ones
+def spread_raws(lo: int, hi: int):
+    return st.integers(min_value=lo, max_value=hi).flatmap(
+        lambda e: st.integers(min_value=10 ** (e - 1), max_value=10 ** e - 1))
+
+
+def brute_force_active(ledger, angle):
+    """Signed liquidity of every position of ``ledger`` that holds ``angle``."""
+    total = ZERO
+    for p in ledger.positions:
+        if p.contains(angle):
+            total = total + (p.liquidity if p.side == "long" else -p.liquidity)
+    return total
+
+
+def integrate_swap_oracle(positions, start_deg: float, delta_in: float,
+                          step_deg: float = 1e-4):
+    """Float integration of a token-0 sell along the arc.
+
+    ``positions`` are (lower, upper, liquidity) ranges in degrees. Along the
+    arc dx = l s(phi) sin(phi) dphi and dy = l s(phi) cos(phi) dphi, with s
+    the liquidity of the ranges holding phi: midpoint steps, independent of
+    the engine's segment closed forms.
+    """
+    l = 2 + math.sqrt(2)
+    step_rad = math.radians(step_deg)
+    phi, consumed, out = start_deg, 0.0, 0.0
+    while True:
+        assert phi < 90, "oracle hit the arc end"
+        mid = phi + step_deg / 2
+        s = sum(liq for lo, hi, liq in positions if lo <= mid < hi)
+        assert s > 0, "oracle ran out of liquidity"
+        dx = l * s * math.sin(math.radians(mid)) * step_rad
+        dy = l * s * math.cos(math.radians(mid)) * step_rad
+        if consumed + dx >= delta_in:
+            return out + dy * ((delta_in - consumed) / dx)
+        consumed += dx
+        out += dy
+        phi += step_deg
+
+
+def root_within(root: int, n: int, halves: int = 1) -> bool:
+    """Whether |root - sqrt(n)| <= halves / 2, decided on integers.
+
+    The same as (2 root - halves)^2 <= 4n <= (2 root + halves)^2, where the
+    left side holds outright once 2 root <= halves.
+    """
+    assert n >= 0
+    lo, hi = 2 * root - halves, 2 * root + halves
+    return (lo <= 0 or lo * lo <= 4 * n) and hi >= 0 and 4 * n <= hi * hi
+
+
+def circle_step_within(centre: int, radius_sq: int, moved: int, out: int,
+                       halves: int = 1) -> bool:
+    """Whether ``out`` lies within halves / 2 quanta of the exact circle step.
+
+    Raw integers: a circle about (centre, centre) of squared radius
+    ``radius_sq`` whose in-reserve is ``moved`` puts its out-reserve at
+    centre - sqrt(n), n = radius_sq - (centre - moved)^2, exactly.
+    """
+    return root_within(centre - out, radius_sq - (centre - moved) ** 2, halves)

@@ -2,12 +2,12 @@
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -s``),
 asserting every anchor at its stated tolerance. Oracles here are either
-exact integer arithmetic, mpmath at 40 digits, or float numerical
-integration, all independent of the engine's own code paths.
+exact integer arithmetic, mpmath at the 40 digits of the conftest
+fixture, or the float tick-walk integration of ``reference.py``, all
+independent of the engine's own code paths.
 """
 
 import json
-import math
 import random
 import time
 from contextlib import contextmanager
@@ -39,28 +39,24 @@ from polarpool.polar import (
     reserves_at_angle,
 )
 from polarpool.poolfile import load as load_pool
-from polarpool.swap import ccmm_y_of_x, csemm_y_of_x, pair_swap
+from polarpool.swap import pair_swap, y_of_x
 from polarpool.ticks import (
     LpPosition,
     TickGrid,
     TickLedger,
     active_liquidity,
     add_position,
+    commit_tick_swap,
     remove_position,
     route_swap,
     swap_across_ticks,
     tick_width_in_price,
 )
-
-mpmath.mp.dps = 40
+from reference import brute_force_active, integrate_swap_oracle, to_mp
 
 F = FixedDecimal
 L = default_offset()
 CIRCLE = CurveParams(n=2)
-
-
-def to_mp(x: FixedDecimal) -> mpmath.mpf:
-    return mpmath.mpf(x.raw) / WAD
 
 
 @contextmanager
@@ -89,12 +85,12 @@ def test_c02_limit_case_recoveries():
         cpmm = CurveParams(n=2, mode="csemm", alphas=(F(-1), F(-1)))
         for k in range(300):
             x = F.from_raw(WAD // 10 + (10 * WAD - WAD // 10) * k // 299)
-            y = csemm_y_of_x(cpmm, x)
+            y = y_of_x(cpmm, x)
             assert abs(fp_mul(x, y).raw - WAD) <= 10 ** 6
         csmm = CurveParams(n=2, mode="csemm", alphas=(TWO, TWO))
         for k in range(1, 300):
             x = F.from_raw(2 * WAD * k // 300)
-            y = csemm_y_of_x(csmm, x)
+            y = y_of_x(csmm, x)
             assert abs(x.raw + y.raw - 2 * WAD) <= 10 ** 6
         as_circle = CurveParams(n=2, mode="csemm", alphas=(L, L))
         state = PoolState(reserves=(ONE, ONE))
@@ -120,7 +116,7 @@ def test_c04_path_equivalence():
         rng = random.Random(404)
         for _ in range(1000):
             x0 = F.from_raw(rng.randrange(WAD // 100, L.raw - WAD // 100))
-            y0 = ccmm_y_of_x(CIRCLE, x0)
+            y0 = y_of_x(CIRCLE, x0)
             state = PoolState(reserves=(x0, y0))
             token_in = rng.randrange(2)
             room = fp_sub(L, state.reserves[token_in])
@@ -191,11 +187,7 @@ def test_c08_tick_ledger_oracle_equivalence():
                 live.append(pid)
         for _ in range(1000):
             angle = F.from_raw(rng.randrange(0, 90 * WAD))
-            brute = ZERO
-            for p in ledger.positions:
-                if p.contains(angle):
-                    brute = brute + p.liquidity
-            assert active_liquidity(ledger, angle) == brute
+            assert active_liquidity(ledger, angle) == brute_force_active(ledger, angle)
 
         fig3 = TickLedger(grid=TickGrid())
         fig3 = add_position(fig3, LpPosition("lp1", F(0), F(90), F(5)))
@@ -205,32 +197,8 @@ def test_c08_tick_ledger_oracle_equivalence():
         positions = [(0.0, 90.0, 5.0), (40.0, 55.0, 3.0)]
         for delta in ("1", "5"):
             result = swap_across_ticks(CIRCLE, fig3, state, 0, F(delta))
-            want = _integration_oracle(positions, 45.0, float(delta))
+            want = integrate_swap_oracle(positions, 45.0, float(delta))
             assert abs(result.quote.amount_out.raw / WAD - want) < 1e-6
-
-
-def _integration_oracle(positions, start_deg, delta_in, step_deg=1e-4):
-    l = 2 + math.sqrt(2)
-
-    def liquidity(phi):
-        return sum(liq for lo, hi, liq in positions if lo <= phi < hi)
-
-    phi, consumed, out = start_deg, 0.0, 0.0
-    step_rad = math.radians(step_deg)
-    while consumed < delta_in:
-        s = liquidity(phi + step_deg / 2)
-        assert s > 0
-        mid = math.radians(phi + step_deg / 2)
-        dx = l * s * math.sin(mid) * step_rad
-        dy = l * s * math.cos(mid) * step_rad
-        if consumed + dx >= delta_in:
-            out += dy * (delta_in - consumed) / dx
-            break
-        consumed += dx
-        out += dy
-        phi += step_deg
-        assert phi < 90
-    return out
 
 
 def test_c09_tick_granularity():
@@ -313,8 +281,6 @@ def test_c12_conservation_under_replay(tmp_path, capsys):
         pool = load_pool(pool_path)
         state = pool.state
         fwd = swap_across_ticks(pool.params, pool.ledger, state, 0, F("0.2"), token_out=1)
-        from polarpool.ticks import commit_tick_swap
-
         mid = commit_tick_swap(state, fwd)
         back = swap_across_ticks(pool.params, pool.ledger, mid, 1,
                                  fwd.quote.amount_out, token_out=0)

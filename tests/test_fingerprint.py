@@ -17,16 +17,12 @@ from polarpool.fingerprint import (
     payoff_fingerprint,
 )
 from polarpool.fixed import FixedDecimal, ONE, PI, TWO, WAD, fp_div, fp_exp, fp_mul
-from polarpool.invariant import default_offset
-
-mpmath.mp.dps = 40
+from polarpool.invariant import CurveParams, default_offset
+from polarpool.swap import y_of_x
+from reference import to_mp
 
 F = FixedDecimal
 L = default_offset()
-
-
-def to_mp(x: FixedDecimal) -> mpmath.mpf:
-    return mpmath.mpf(x.raw) / WAD
 
 
 def reference_ccmm(t):
@@ -182,16 +178,13 @@ class TestLpPayoff:
     def test_min_dominates_arc_points(self):
         import random
 
-        from polarpool.swap import ccmm_y_of_x
-        from polarpool.invariant import CurveParams
-
         circle = CurveParams(n=2)
         p = FingerprintParams()
         rng = random.Random(31)
         for _ in range(1000):
             price = F.from_raw(rng.randrange(WAD // 10, 10 * WAD))
             x = F.from_raw(rng.randrange(1, L.raw))
-            y = ccmm_y_of_x(circle, x)
+            y = y_of_x(circle, x)
             value = fp_mul(price, x) + y
             assert lp_payoff(p, price) <= value + F.from_raw(100)
 

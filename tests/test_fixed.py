@@ -38,14 +38,9 @@ from polarpool.fixed import (
     fp_sub,
     fp_unit,
 )
-
-mpmath.mp.dps = 40
+from reference import root_within, spread_raws, to_mp
 
 F = FixedDecimal
-
-
-def to_mp(x: FixedDecimal) -> mpmath.mpf:
-    return mpmath.mpf(x.raw) / WAD
 
 
 def assert_close_to_reference(got: FixedDecimal, reference: mpmath.mpf,
@@ -61,13 +56,6 @@ def assert_correctly_rounded(got: FixedDecimal, exact):
     1e-6 quanta for the reference's own error."""
     err = abs(mpmath.mpf(got.raw) - exact * WAD)
     assert err <= mpmath.mpf("0.500001"), f"{got}: {mpmath.nstr(err, 8)} quanta off"
-
-
-# raws of every length from lo to hi digits; plain st.integers favours
-# small magnitudes
-def spread_raws(lo: int, hi: int):
-    return st.integers(min_value=lo, max_value=hi).flatmap(
-        lambda e: st.integers(min_value=10 ** (e - 1), max_value=10 ** e - 1))
 
 
 def signed(raws):
@@ -160,8 +148,8 @@ class TestSqrt:
             raw = rng.randrange(top)
             s = fp_sqrt(F.from_raw(raw)).raw
             n = raw * WAD
-            # nearest grid point: (s - 1/2)^2 < n < (s + 1/2)^2
-            assert 4 * s * s - 4 * s + 1 < 4 * n < 4 * s * s + 4 * s + 1
+            # nearest grid point: within half a quantum of sqrt(n)
+            assert root_within(s, n)
             # squared result stays within 2 ulps at the value's own scale
             err = abs(s * s - n)  # in 1e-36 units
             assert err <= 2 * max(raw, WAD)
@@ -172,9 +160,8 @@ class TestSqrt:
         b_raw = a_raw * share_raw // WAD
         s = fp_sqrt_diff_squares(F.from_raw(a_raw), F.from_raw(-b_raw)).raw
         n = a_raw * a_raw - b_raw * b_raw
-        # nearest grid point to sqrt(a^2 - b^2): (s - 1/2)^2 < n < (s + 1/2)^2
-        assert s == 0 or (2 * s - 1) ** 2 < 4 * n
-        assert 4 * n < (2 * s + 1) ** 2
+        # nearest grid point to sqrt(a^2 - b^2)
+        assert root_within(s, n)
 
     def test_diff_squares_domain(self):
         assert fp_sqrt_diff_squares(F(5), F(4)) == F(3)
@@ -187,8 +174,7 @@ class TestSqrt:
     def test_hypot_and_unit_correctly_rounded(self, a_raw, b_raw):
         a, b = F.from_raw(a_raw), F.from_raw(b_raw)
         n = a_raw * a_raw + b_raw * b_raw
-        s = fp_hypot(a, b).raw
-        assert (2 * s - 1) ** 2 < 4 * n < (2 * s + 1) ** 2
+        assert root_within(fp_hypot(a, b).raw, n)
         # each component c WAD / sqrt(n) to the nearest grid point
         for c, u in zip((a_raw, b_raw), fp_unit(a, b)):
             target = 4 * c * c * WAD * WAD

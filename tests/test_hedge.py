@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from polarpool.errors import RangeError, ValidationError
-from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO
+from polarpool.fixed import FixedDecimal, ONE, ZERO
 from polarpool.hedge import (
     HedgeSpec,
     PayoffCurve,
@@ -17,15 +17,10 @@ from polarpool.hedge import (
 )
 from polarpool.invariant import CurveParams
 from polarpool.ticks import LpPosition, TickGrid, TickLedger, active_liquidity, add_position
-
-mpmath.mp.dps = 40
+from reference import to_mp
 
 F = FixedDecimal
 CIRCLE = CurveParams(n=2)
-
-
-def to_mp(x):
-    return mpmath.mpf(x.raw) / WAD
 
 
 def price_grid(lo: str, hi: str, n: int):

@@ -22,17 +22,11 @@ from polarpool.invariant import (
     token_pair,
 )
 from polarpool.poolfile import PoolFile, dumps, loads
+from polarpool.swap import y_of_x
 from polarpool.ticks import TickLedger
-
-mpmath.mp.dps = 40
+from reference import to_mp
 
 F = FixedDecimal
-
-
-def to_mp(x: FixedDecimal) -> mpmath.mpf:
-    return mpmath.mpf(x.raw) / WAD
-
-
 L = default_offset()
 
 
@@ -156,11 +150,9 @@ class TestLimitRecoveries:
         # alpha = l uniformly: residuals vanish together through (1, 1)
         pc = CurveParams(n=2)
         ps = CurveParams(n=2, mode="csemm", alphas=(L, L))
-        from polarpool.swap import ccmm_y_of_x
-
         for k in range(1, 1001):
             x = F.from_raw(int(0.2 * WAD) + int(1.4 * WAD) * k // 1001)
-            y = ccmm_y_of_x(pc, x)
+            y = y_of_x(pc, x)
             assert abs(to_mp(ccmm_residual(pc, (x, y)))) < 1e-12
             assert abs(to_mp(csemm_residual(ps, (x, y)))) < 1e-12
 

@@ -1,14 +1,14 @@
-"""Cartesian swaps against the 40-digit oracle and each other."""
+"""Cartesian swaps against the exact reference and each other."""
 
 import random
-from decimal import Context, Decimal
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarpool.errors import DomainError, InsufficientLiquidityError
+from polarpool.cli import main as cli_main
+from polarpool.errors import DomainError, InsufficientLiquidityError, NumericError
 from polarpool.fixed import FixedDecimal, ONE, TWO, WAD, ZERO, fp_div, fp_mul, fp_sub
 from polarpool.invariant import (
     CurveParams,
@@ -21,17 +21,13 @@ from polarpool.invariant import (
     solve_shifted_scale,
     spot_price,
 )
-from polarpool.swap import ccmm_y_of_x, commit, csemm_y_of_x, pair_swap
-
-mpmath.mp.dps = 40
+from polarpool.poolfile import load as load_pool
+from polarpool.swap import commit, pair_swap, y_of_x
+from polarpool.ticks import LpPosition, TickLedger, add_position, route_swap
+from reference import circle_step_within, to_mp
 
 F = FixedDecimal
 L = default_offset()
-
-
-def to_mp(x: FixedDecimal) -> mpmath.mpf:
-    return mpmath.mpf(x.raw) / WAD
-
 
 CIRCLE = CurveParams(n=2)
 UNIT_STATE = PoolState(reserves=(ONE, ONE))
@@ -39,39 +35,34 @@ UNIT_STATE = PoolState(reserves=(ONE, ONE))
 
 class TestCcmmCurve:
     def test_symmetric_point(self):
-        assert abs(ccmm_y_of_x(CIRCLE, ONE).raw - WAD) <= 2
+        assert abs(y_of_x(CIRCLE, ONE).raw - WAD) <= 2
 
     def test_axis_points(self):
-        assert ccmm_y_of_x(CIRCLE, CIRCLE.l).raw <= 2
-        assert abs(ccmm_y_of_x(CIRCLE, ZERO).raw - CIRCLE.l.raw) <= 2
+        assert y_of_x(CIRCLE, CIRCLE.l).raw <= 2
+        assert abs(y_of_x(CIRCLE, ZERO).raw - CIRCLE.l.raw) <= 2
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            ccmm_y_of_x(CIRCLE, F(4))
+            y_of_x(CIRCLE, F(4))
         with pytest.raises(DomainError):
-            ccmm_y_of_x(CIRCLE, F(-1))
+            y_of_x(CIRCLE, F(-1))
 
     def test_arc_end_correctly_rounded(self):
         # y(x) = L - sqrt(L^2 - (L - x)^2) for x below 0.03, where the two
-        # squares nearly cancel, against 80 digits
-        ctx = Context(prec=80)
+        # squares nearly cancel, within half a quantum of the exact step
         rng = random.Random(29)
         for scale in (ONE, F("0.37"), F(3)):
-            offset = fp_mul(CIRCLE.l, scale)
-            big_l = ctx.divide(Decimal(offset.raw), WAD)
+            offset = fp_mul(CIRCLE.l, scale).raw
             for _ in range(700):
                 x = F.from_raw(rng.randrange(1, 3 * WAD // 100))
-                d = ctx.subtract(big_l, ctx.divide(Decimal(x.raw), WAD))
-                exact = ctx.subtract(big_l, ctx.sqrt(ctx.subtract(ctx.multiply(big_l, big_l),
-                                                                  ctx.multiply(d, d))))
-                y = ccmm_y_of_x(CIRCLE, x, scale)
-                assert abs(ctx.subtract(ctx.multiply(exact, WAD), y.raw)) <= Decimal("0.5")
+                y = y_of_x(CIRCLE, x, scale)
+                assert circle_step_within(offset, offset ** 2, x.raw, y.raw)
 
     def test_involution(self):
         # y(y(x)) = x within 1e-12 across the arc
         for k in range(1, 200):
             x = F.from_raw(CIRCLE.l.raw * k // 200)
-            back = ccmm_y_of_x(CIRCLE, ccmm_y_of_x(CIRCLE, x))
+            back = y_of_x(CIRCLE, y_of_x(CIRCLE, x))
             assert abs(back.raw - x.raw) <= 10 ** 6
 
 
@@ -134,15 +125,15 @@ CIRCLE_AS_SUPER = CurveParams(n=2, mode="csemm", alphas=(L, L))
 
 class TestCsemmCurve:
     def test_circle_equivalence_point(self):
-        got = csemm_y_of_x(CIRCLE_AS_SUPER, ONE)
-        want = ccmm_y_of_x(CIRCLE, ONE)
+        got = y_of_x(CIRCLE_AS_SUPER, ONE)
+        want = y_of_x(CIRCLE, ONE)
         assert abs(got.raw - want.raw) <= 100
 
     def test_constant_sum_line(self):
-        assert csemm_y_of_x(CSMM, F("0.5")) == F("1.5")
+        assert y_of_x(CSMM, F("0.5")) == F("1.5")
 
     def test_constant_product(self):
-        got = csemm_y_of_x(CPMM, TWO)
+        got = y_of_x(CPMM, TWO)
         assert abs(got.raw - WAD // 2) <= 10
 
 
@@ -316,3 +307,67 @@ class TestUnequalCurves:
         assert abs(invariant_residual(params, back)) <= ON_CURVE_TOLERANCE
         assert back.reserves[token] == ONE and back.reserves[spectator] == ONE
         assert abs(back.reserves[other].raw - WAD) <= 10 ** 9
+
+
+def item5(defect, raises):
+    return pytest.mark.xfail(strict=True, raises=raises,
+                             reason=f"ROADMAP item 5: {defect}")
+
+
+def lands_on_exact_circle(params, state, quote):
+    """Whether a circular quote's out-reserve is within a quantum of the exact
+    pair circle: the pool's own circle for two tokens, else the circle through
+    the start point that holds the other reserves fixed."""
+    i, j = quote.token_in, quote.token_out
+    offset = fp_mul(params.l, state.liquidity_scale).raw
+    if params.n == 2:
+        radius_sq = offset ** 2
+    else:
+        radius_sq = (offset - state.reserves[i].raw) ** 2 + (offset - state.reserves[j].raw) ** 2
+    return circle_step_within(offset, radius_sq, quote.new_reserves[i].raw,
+                              quote.new_reserves[j].raw, halves=2)
+
+
+class TestKnownDefects:
+    """Defects reproduced on the engine; each test passes once its defect is mended."""
+
+    @item5("the n > 2 pair circle misses the start point", AssertionError)
+    def test_n3_one_quantum_sell_quotes_no_negative_amount(self):
+        params = CurveParams(n=3)
+        reserves = tuple(F(r) for r in ("0.306137971146323821", "0.306137971146323840",
+                                        "0.306137971146323859"))
+        scale = solve_ccmm_scale(params, reserves)
+        state = PoolState(reserves, liquidity_scale=scale)
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, F(90), scale))
+        for route in ("cartesian", "ticks"):
+            quote, _, _ = route_swap(params, ledger, state, route, 0, 1, F.from_raw(1))
+            assert quote.amount_out >= ZERO, route
+            assert lands_on_exact_circle(params, state, quote), route
+
+    @item5("rounding favours the trader", AssertionError)
+    def test_round_trip_returns_no_more_than_paid(self):
+        reserves = (F.from_raw(2247305487775895039), F.from_raw(622070373767276685))
+        state = PoolState(reserves, liquidity_scale=solve_ccmm_scale(CIRCLE, reserves))
+        paid = F.from_raw(7)
+        sell = pair_swap(CIRCLE, state, 0, paid)
+        mid = commit(state, sell)
+        back = pair_swap(CIRCLE, mid, 1, sell.amount_out)
+        assert lands_on_exact_circle(CIRCLE, state, sell)
+        assert lands_on_exact_circle(CIRCLE, mid, back)
+        assert back.amount_out <= paid
+
+    @item5("a pool parked at an arc end cannot trade away from it",
+           (NumericError, DomainError))
+    def test_pool_parked_at_angle_0_trades_away_on_every_route(self, tmp_path, capsys):
+        pool_path = str(tmp_path / "pool.json")
+        assert cli_main(["init", "--pool", pool_path, "--reserves", "1,1"]) == 0
+        assert cli_main(["swap", "--pool", pool_path, "--token-in", "1", "--token-out", "0",
+                         "--amount", "2.414213562373095049", "--route", "ticks"]) == 0
+        capsys.readouterr()
+        pool = load_pool(pool_path)
+        assert pool.state.angle_deg == ZERO
+        for route in ("ticks", "cartesian", "polar"):
+            quote, _, _ = route_swap(pool.params, pool.ledger, pool.state, route,
+                                     0, 1, F("0.5"))
+            assert quote.amount_out > ZERO, route
+            assert lands_on_exact_circle(pool.params, pool.state, quote), route

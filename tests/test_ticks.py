@@ -1,7 +1,6 @@
-"""Tick ledger vs brute force; tick swaps vs numerical integration."""
+"""Tick ledger vs brute force; tick swaps vs integration and the exact circle."""
 
 import bisect
-import math
 import random
 from dataclasses import replace
 
@@ -35,17 +34,10 @@ from polarpool.ticks import (
     swap_across_ticks,
     tick_width_in_price,
 )
+from reference import brute_force_active, circle_step_within, integrate_swap_oracle
 
 F = FixedDecimal
 CIRCLE = CurveParams(n=2)
-
-
-def brute_force_active(ledger: TickLedger, angle: FixedDecimal) -> FixedDecimal:
-    total = ZERO
-    for p in ledger.positions:
-        if p.contains(angle):
-            total = total + (p.liquidity if p.side == "long" else -p.liquidity)
-    return total
 
 
 def make_fig3_ledger():
@@ -193,46 +185,6 @@ class TestTickWidths:
         assert widths[0] is None  # unbounded is widest
         finite = widths[1:]
         assert all(a > b for a, b in zip(finite, finite[1:]))
-
-
-def integrate_swap_oracle(positions, start_deg: float, delta_in: float,
-                          step_deg: float = 1e-4):
-    """Float integration of the marginal flow with piecewise liquidity.
-
-    dx = l*s(phi) sin(phi) dphi and dy = l*s(phi) cos(phi) dphi along the
-    arc; independent of the engine's segment closed forms.
-    """
-    l = 2 + math.sqrt(2)
-
-    def liquidity(phi):
-        total = 0.0
-        for lo, hi, liq in positions:
-            if lo <= phi < hi:
-                total += liq
-        return total
-
-    phi = start_deg
-    consumed = 0.0
-    out = 0.0
-    step_rad = math.radians(step_deg)
-    while consumed < delta_in:
-        s = liquidity(phi + step_deg / 2)
-        if s <= 0:
-            raise AssertionError("oracle ran out of liquidity")
-        mid = math.radians(phi + step_deg / 2)
-        dx = l * s * math.sin(mid) * step_rad
-        dy = l * s * math.cos(mid) * step_rad
-        if consumed + dx >= delta_in:
-            frac = (delta_in - consumed) / dx
-            out += dy * frac
-            consumed = delta_in
-        else:
-            consumed += dx
-            out += dy
-        phi += step_deg
-        if phi >= 90:
-            raise AssertionError("oracle hit the arc end")
-    return out
 
 
 class TestSwapAcrossTicks:
@@ -485,12 +437,9 @@ class TestCarriedPairKernel:
         i, j = token_in, 1 - token_in
         assert quote.new_reserves[i] == state.reserves[i] + delta
         assert quote.new_reserves[j] == state.reserves[j] - quote.amount_out
-        with mpmath.workdps(60):
-            offset = mpmath.mpf(fp_mul(CIRCLE.l, state.liquidity_scale).raw) / WAD
-            moved = mpmath.mpf(quote.new_reserves[i].raw) / WAD
-            partner = offset - mpmath.sqrt(offset ** 2 - (moved - offset) ** 2)
-            err = abs(mpmath.mpf(quote.new_reserves[j].raw) / WAD - partner) * WAD
-        assert err <= 0.5
+        offset = fp_mul(CIRCLE.l, state.liquidity_scale).raw
+        assert circle_step_within(offset, offset ** 2, quote.new_reserves[i].raw,
+                                  quote.new_reserves[j].raw)
 
     @staticmethod
     def assert_angle_of_point(params, result, i, j):
