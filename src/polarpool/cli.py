@@ -10,43 +10,25 @@ randomness (trade generation) runs off an explicit seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import random
 import sys
 from dataclasses import replace
 
-from .errors import (
-    DomainError,
-    InsufficientLiquidityError,
-    NotFoundError,
-    NumericError,
-    RangeError,
-    ShapeError,
-    ValidationError,
-)
-from .fingerprint import (
-    FingerprintParams,
-    fingerprint_ccmm,
-    fingerprint_cemm,
-    fingerprint_csemm,
-    lp_payoff,
-    multimodal_radius,
-)
+from .errors import (DomainError, InsufficientLiquidityError, NotFoundError, NumericError,
+                     RangeError, ShapeError, ValidationError)
+from .fingerprint import (FingerprintParams, fingerprint_ccmm, fingerprint_cemm,
+                          fingerprint_csemm, lp_payoff, multimodal_radius)
 from .fixed import FixedDecimal, HALF_PI, ONE, ZERO, fp_add, fp_mul, fp_sub
 from .hedge import HedgeSpec, hedge_payoff
-from .invariant import (
-    CurveParams,
-    PoolState,
-    invariant_residual,
-    solve_ccmm_scale,
-    solve_csemm_scale,
-    solve_shifted_scale,
-)
+from .invariant import (CurveParams, PoolState, invariant_residual, solve_ccmm_scale,
+                        solve_csemm_scale, solve_shifted_scale)
 from .polar import angle_to_price, cartesian_to_polar, price_to_angle, reserves_at_angle
 from .poolfile import PoolFile, load, save
 from .swap import SwapQuote, y_of_x
-from .ticks import LpPosition, TickGrid, TickLedger, add_position, route_swap
+from .ticks import (LpPosition, TickGrid, TickLedger, add_position, gen_trades, replay,
+                    route_swap)
 
 F = FixedDecimal
 
@@ -63,13 +45,10 @@ def _print_json(obj) -> None:
 
 
 def _write_csv(rows, header, out_path=None) -> None:
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
+    """CSV to ``out_path`` or stdout; a FixedDecimal cell is written as str()."""
+    with (open(out_path, "w", newline="") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -103,12 +82,9 @@ def cmd_init(args) -> int:
         kwargs["c"] = F(args.c)
     params = CurveParams(**kwargs)
 
-    if args.mode == "ccmm":
-        scale = solve_ccmm_scale(params, reserves)
-    elif args.mode == "csemm":
-        scale = solve_csemm_scale(params, reserves)
-    else:
-        scale = solve_shifted_scale(params, reserves)
+    solve = {"ccmm": solve_ccmm_scale, "csemm": solve_csemm_scale,
+             "shifted": solve_shifted_scale}[args.mode]
+    scale = solve(params, reserves)
 
     angle = None
     if n == 2 and params.mode == "ccmm":
@@ -154,8 +130,8 @@ def _quote_payload(args, quote: SwapQuote, tick_result) -> dict:
         payload["final_angle_deg"] = str(tick_result.final_angle_deg)
         if args.trace_csv:
             rows = [
-                [str(seg.index), str(seg.angle_from_deg), str(seg.angle_to_deg),
-                 str(seg.liquidity), str(seg.delta_in), str(seg.delta_out)]
+                (seg.index, seg.angle_from_deg, seg.angle_to_deg, seg.liquidity,
+                 seg.delta_in, seg.delta_out)
                 for seg in tick_result.segments
             ]
             _write_csv(rows, ["segment_index", "angle_from", "angle_to", "liquidity",
@@ -204,28 +180,13 @@ def _read_trade_log(path):
 def cmd_replay(args) -> int:
     pool = load(args.pool)
     trades = _read_trade_log(args.log)
-    state = pool.state
-    max_residual = ZERO
-    out_rows = []
-    for seq, i, j, amount in trades:
-        if not (0 <= i < pool.params.n and 0 <= j < pool.params.n) or i == j:
-            raise ValidationError(f"trade {seq}: bad token indices")
-        try:
-            quote, state, _ = route_swap(
-                pool.params, pool.ledger, state, "ticks", i, j, amount)
-        except InsufficientLiquidityError as exc:
-            sys.stderr.write(f"replay halted at seq {seq}: {exc}\n")
-            return EXIT_INFEASIBLE
-        residual = abs(invariant_residual(pool.params, state))
-        if residual > max_residual:
-            max_residual = residual
-        out_rows.append([
-            str(seq), str(i), str(j), str(amount),
-            str(quote.amount_out), str(residual),
-        ])
+    rows, state, max_residual, halted = replay(pool.params, pool.ledger, pool.state, trades)
+    if halted is not None:
+        sys.stderr.write(f"replay halted at seq {trades[len(rows)][0]}: {halted}\n")
+        return EXIT_INFEASIBLE
     if args.out_csv:
-        _write_csv(out_rows, ["seq", "token_in", "token_out", "amount_in",
-                              "amount_out", "residual"], args.out_csv)
+        _write_csv(rows, ["seq", "token_in", "token_out", "amount_in",
+                          "amount_out", "residual"], args.out_csv)
     _print_json({
         "trades": len(trades),
         "final_reserves": [str(r) for r in state.reserves],
@@ -238,21 +199,7 @@ def cmd_replay(args) -> int:
 
 def cmd_gen_trades(args) -> int:
     pool = load(args.pool)
-    rng = random.Random(args.seed)
-    state = pool.state
-    rows = []
-    for seq in range(1, args.count + 1):
-        i = rng.randrange(pool.params.n)
-        j = (i + 1 + rng.randrange(pool.params.n - 1)) % pool.params.n
-        # consume an integer percentage (1..30) of the input room left on
-        # the arc, down to the 90-degree end
-        capacity = fp_sub(fp_mul(pool.params.l, state.liquidity_scale), state.reserves[i])
-        pct = rng.randrange(1, 31)
-        amount = fp_mul(capacity, F.from_fraction(pct, 100))
-        if amount <= ZERO:
-            continue
-        _, state, _ = route_swap(pool.params, pool.ledger, state, "ticks", i, j, amount)
-        rows.append([str(seq), str(i), str(j), str(amount)])
+    rows = gen_trades(pool.params, pool.ledger, pool.state, args.count, args.seed)
     _write_csv(rows, ["seq", "token_in", "token_out", "amount_in"], args.out)
     _print_json({"trades": len(rows), "seed": args.seed, "out": args.out})
     return EXIT_OK
@@ -267,10 +214,7 @@ def _sample_grid(lo: FixedDecimal, hi: FixedDecimal, n: int):
     if hi <= lo:
         raise ValidationError("sample range must be increasing")
     span = fp_sub(hi, lo)
-    return [
-        fp_add(lo, F.from_raw(span.raw * k // (n - 1)))
-        for k in range(n)
-    ]
+    return [fp_add(lo, F.from_raw(span.raw * k // (n - 1))) for k in range(n)]
 
 
 def cmd_curve(args) -> int:
@@ -284,11 +228,8 @@ def cmd_curve(args) -> int:
         params = CurveParams(n=n, mode="shifted", beta=F(args.beta), c=F(args.c))
     else:
         params = CurveParams(n=n)
-    rows = []
     if args.mode == "ccmm":
-        for angle in _sample_grid(ZERO, F(90), args.samples):
-            x, y = reserves_at_angle(params, angle)
-            rows.append([str(x), str(y)])
+        rows = [reserves_at_angle(params, a) for a in _sample_grid(ZERO, F(90), args.samples)]
     else:
         if args.mode == "shifted":
             x_lo, x_hi = ZERO, params.l
@@ -297,8 +238,7 @@ def cmd_curve(args) -> int:
         else:
             # negative-alpha curves have hyperbolic tails; sweep a window
             x_lo, x_hi = F("0.1"), fp_mul(params.l, F(3))
-        for x in _sample_grid(x_lo, x_hi, args.samples):
-            rows.append([str(x), str(y_of_x(params, x))])
+        rows = [(x, y_of_x(params, x)) for x in _sample_grid(x_lo, x_hi, args.samples)]
     _write_csv(rows, ["x", "y"], args.out)
     return EXIT_OK
 
@@ -317,15 +257,14 @@ def cmd_fingerprint(args) -> int:
         fp_kwargs["alpha_mm"] = args.alpha_mm
         fp_kwargs["big_l"] = F(args.big_l)
     params = FingerprintParams(**fp_kwargs)
-    rows = []
     if args.mode == "multimodal":
-        for theta in _sample_grid(ZERO, HALF_PI, args.samples):
-            rows.append([str(theta), str(multimodal_radius(params, theta))])
+        rows = [(theta, multimodal_radius(params, theta))
+                for theta in _sample_grid(ZERO, HALF_PI, args.samples)]
     else:
         fn = {"ccmm": fingerprint_ccmm, "cemm": fingerprint_cemm,
               "csemm": fingerprint_csemm}[args.mode]
-        for t in _sample_grid(F(args.t_min), F(args.t_max), args.samples):
-            rows.append([str(t), str(fn(params, t))])
+        grid = _sample_grid(F(args.t_min), F(args.t_max), args.samples)
+        rows = [(t, fn(params, t)) for t in grid]
     _write_csv(rows, ["t", "value"], args.out)
     return EXIT_OK
 
@@ -335,11 +274,9 @@ def cmd_payoff(args) -> int:
     if args.mode == "cemm":
         kwargs["c"] = F(args.c)
     params = FingerprintParams(**kwargs)
-    rows = []
-    for price in _sample_grid(F(args.price_min), F(args.price_max), args.samples):
-        if price <= ZERO:
-            continue
-        rows.append([str(price), str(lp_payoff(params, price))])
+    rows = [(p, lp_payoff(params, p))
+            for p in _sample_grid(F(args.price_min), F(args.price_max), args.samples)
+            if p > ZERO]
     _write_csv(rows, ["price", "value"], args.out)
     return EXIT_OK
 
@@ -354,7 +291,7 @@ def cmd_hedge(args) -> int:
     prices = [p for p in _sample_grid(F(args.price_min), F(args.price_max),
                                       args.samples) if p > ZERO]
     curve = hedge_payoff(CurveParams(n=2), spec, prices, grid=grid)
-    _write_csv([[str(p), str(v)] for p, v in curve.samples], ["price", "payoff"], args.out)
+    _write_csv(curve.samples, ["price", "payoff"], args.out)
     return EXIT_OK
 
 
@@ -472,9 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs more than most commands, and
+# parse_args keeps nothing from one call to the next.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except InsufficientLiquidityError as exc:

@@ -86,12 +86,6 @@ def _round_div(n: int, d: int) -> int:
     return q
 
 
-def _check_raw(raw: int) -> int:
-    if raw > MAX_RAW or raw < -MAX_RAW:
-        raise RangeError("fixed-point overflow: |value| exceeds 1e20")
-    return raw
-
-
 class FixedDecimal:
     """Immutable signed decimal with 18 fractional digits.
 
@@ -114,13 +108,17 @@ class FixedDecimal:
             raise TypeError(
                 f"FixedDecimal accepts int, str, or FixedDecimal, not {type(value).__name__}"
             )
-        object.__setattr__(self, "raw", _check_raw(raw))
+        if raw > MAX_RAW or raw < -MAX_RAW:
+            raise RangeError("fixed-point overflow: |value| exceeds 1e20")
+        _set_raw(self, raw)
 
     @classmethod
     def from_raw(cls, raw: int) -> "FixedDecimal":
         """Wrap a raw 10^-18 unit count without scaling."""
+        if raw > MAX_RAW or raw < -MAX_RAW:
+            raise RangeError("fixed-point overflow: |value| exceeds 1e20")
         out = object.__new__(cls)
-        object.__setattr__(out, "raw", _check_raw(raw))
+        _set_raw(out, raw)
         return out
 
     @classmethod
@@ -193,6 +191,11 @@ class FixedDecimal:
 
     def is_integer(self) -> bool:
         return self.raw % WAD == 0
+
+
+# The slot's own setter: construction writes ``raw`` past the __setattr__
+# that keeps instances immutable, without a call to object.__setattr__.
+_set_raw = FixedDecimal.raw.__set__
 
 
 def _parse_decimal_string(text: str) -> int:

@@ -37,10 +37,12 @@ pools take one more, for the start angle of the pair-circle point).
 ``route_swap`` is the one entry point for a trade on any route: it
 quotes on the Cartesian, polar or tick route and returns the committed
 state with the quote, so callers hold no route logic of their own.
+``replay`` and ``gen_trades`` run whole trade logs through it.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -62,7 +64,7 @@ from .fixed import (
     fp_sqrt_diff_squares,
     fp_sub,
 )
-from .invariant import CurveParams, PoolState, token_pair
+from .invariant import CurveParams, PoolState, invariant_residual, token_pair
 from .polar import (
     NINETY,
     angle_of_state,
@@ -433,3 +435,51 @@ def route_swap(params: CurveParams, ledger: TickLedger, state: PoolState, route:
     else:
         raise ValidationError(f"unknown route {route!r}")
     return quote, commit(state, quote), None
+
+
+def replay(params: CurveParams, ledger: TickLedger, state: PoolState, trades):
+    """Apply ``(seq, token_in, token_out, amount)`` trades on the tick route.
+
+    Returns ``(rows, state, max_residual, halted)``: a row ``(seq,
+    token_in, token_out, amount, amount_out, |residual|)`` per filled
+    trade, the state after the last of them, the largest of those
+    residuals (zero for none), and the ``InsufficientLiquidityError``,
+    with its partial fill, of the trade that stopped the replay, or None.
+    That trade, ``trades[len(rows)]``, commits nothing.
+    """
+    rows = []
+    max_residual = ZERO
+    for seq, i, j, amount in trades:
+        if not (0 <= i < params.n and 0 <= j < params.n) or i == j:
+            raise ValidationError(f"trade {seq}: bad token indices")
+        try:
+            quote, state, _ = route_swap(params, ledger, state, "ticks", i, j, amount)
+        except InsufficientLiquidityError as exc:
+            return rows, state, max_residual, exc
+        residual = abs(invariant_residual(params, state))
+        max_residual = max(max_residual, residual)
+        rows.append((seq, i, j, amount, quote.amount_out, residual))
+    return rows, state, max_residual, None
+
+
+def gen_trades(params: CurveParams, ledger: TickLedger, state: PoolState,
+               count: int, seed: int) -> list[tuple[int, int, int, FixedDecimal]]:
+    """A feasible random trade log of ``(seq, token_in, token_out, amount)`` rows.
+
+    Each of ``count`` draws from ``random.Random(seed)`` sells an integer
+    percentage (1 to 30) of the input room left on the arc, down to the
+    90-degree end, and commits it on the tick route. A draw with no room
+    left is skipped, so its seq is missing from the log.
+    """
+    rng = random.Random(seed)
+    rows = []
+    for seq in range(1, count + 1):
+        i = rng.randrange(params.n)
+        j = (i + 1 + rng.randrange(params.n - 1)) % params.n
+        room = fp_sub(fp_mul(params.l, state.liquidity_scale), state.reserves[i])
+        amount = fp_mul(room, FixedDecimal.from_fraction(rng.randrange(1, 31), 100))
+        if amount <= ZERO:
+            continue
+        _, state, _ = route_swap(params, ledger, state, "ticks", i, j, amount)
+        rows.append((seq, i, j, amount))
+    return rows

@@ -1,16 +1,21 @@
 """End-to-end CLI: pool lifecycle, routes, replay, emission, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from polarpool.cli import main
+from polarpool import cli
+from polarpool.cli import build_parser, main
 from polarpool.fixed import FixedDecimal, WAD
 from polarpool.invariant import ON_CURVE_TOLERANCE
-from polarpool.poolfile import dumps, load
+from polarpool.poolfile import dumps, load, save
+from polarpool.ticks import (LpPosition, TickLedger, add_position, gen_trades, replay,
+                             route_swap)
 
 F = FixedDecimal
 
@@ -268,6 +273,83 @@ class TestReplay:
         assert code == 2
 
 
+def ladder_pool(capsys, path):
+    """A two-token pool at 45 degrees whose three nested positions sum to its scale, 4.5."""
+    init_pool(capsys, path, "--reserves", "4.5,4.5")
+    pool = load(path)
+    assert pool.state.liquidity_scale == F("4.5")
+    ledger = TickLedger(grid=pool.ledger.grid)
+    for position in (LpPosition("base", F(0), F(90), F(1)),
+                     LpPosition("mid", F(30), F(60), F(2)),
+                     LpPosition("core", F(40), F(50), F("1.5"))):
+        ledger = add_position(ledger, position)
+    save(path, replace(pool, ledger=ledger))
+    return load(path)
+
+
+def read_trades(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return [(int(seq), int(i), int(j), F(amount)) for seq, i, j, amount in rows]
+
+
+class TestLibraryReplay:
+    """``ticks.replay`` and ``ticks.gen_trades`` give what the CLI prints."""
+
+    def test_rows_state_and_residual_match_cli(self, tmp_path, capsys):
+        pool_path, log, per_trade = tmp_path / "p.json", tmp_path / "log.csv", tmp_path / "r.csv"
+        pool = ladder_pool(capsys, pool_path)
+        code, _, err = run(capsys, "gen-trades", "--pool", str(pool_path), "--count", "150",
+                           "--seed", "5", "--out", str(log))
+        assert code == 0, err
+        trades = read_trades(log)
+        assert trades == gen_trades(pool.params, pool.ledger, pool.state, 150, 5)
+
+        rows, state, max_residual, halted = replay(pool.params, pool.ledger, pool.state, trades)
+        assert halted is None
+        code, out, err = run(capsys, "replay", "--pool", str(pool_path), "--log", str(log),
+                             "--out-csv", str(per_trade))
+        assert code == 0, err
+        lines = per_trade.read_text().splitlines()
+        assert lines[0] == "seq,token_in,token_out,amount_in,amount_out,residual"
+        assert lines[1:] == [",".join(str(v) for v in row) for row in rows]
+        summary = json.loads(out)
+        assert summary["final_reserves"] == [str(r) for r in state.reserves]
+        assert summary["final_liquidity_scale"] == str(state.liquidity_scale)
+        assert summary["max_residual"] == str(max_residual)
+        # the log crosses the ladder's boundaries
+        crossings, walked = 0, pool.state
+        for _, i, j, amount in trades:
+            _, walked, result = route_swap(pool.params, pool.ledger, walked, "ticks", i, j, amount)
+            crossings += len(result.segments) > 1
+        assert crossings and walked == state
+
+    def test_partial_fill_matches_cli(self, tmp_path, capsys):
+        pool_path, log = tmp_path / "p.json", tmp_path / "log.csv"
+        pool = ladder_pool(capsys, pool_path)
+        trades = gen_trades(pool.params, pool.ledger, pool.state, 40, 9)
+        past_end = (trades[-1][0] + 1, 0, 1, F(100))
+        trades += [past_end, (past_end[0] + 1, 1, 0, F("0.1"))]
+        log.write_text("seq,token_in,token_out,amount_in\n" + "".join(
+            f"{seq},{i},{j},{amount}\n" for seq, i, j, amount in trades))
+
+        rows, state, _, halted = replay(pool.params, pool.ledger, pool.state, trades)
+        assert len(rows) == len(trades) - 2
+        assert halted is not None and halted.filled_in is not None
+        code, out, err = run(capsys, "replay", "--pool", str(pool_path), "--log", str(log))
+        assert (code, out) == (3, "")
+        assert err == f"replay halted at seq {past_end[0]}: {halted}\n"
+
+        # the same trade from the state the replay stopped in, as a quote
+        save(pool_path, replace(pool, state=state))
+        code, _, err = run(capsys, "quote", "--pool", str(pool_path), "--token-in", "0",
+                           "--token-out", "1", "--amount", "100", "--route", "ticks")
+        assert code == 3
+        assert err.splitlines()[-1] == (
+            f"partial fill: in={halted.filled_in} out={halted.filled_out} "
+            f"boundary={halted.boundary_angle_deg}")
+
+
 class TestEmission:
     def test_fingerprint_peak_row(self, tmp_path, capsys):
         code, out, _ = run(
@@ -475,6 +557,59 @@ class TestMalformedInput:
                            "--token-out", "1", "--amount", "0.1")
         assert code == 0, err
         assert pool_path.stat().st_mode & 0o777 == 0o600
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser built at import."""
+
+    def test_flag_does_not_carry_over(self, tmp_path, capsys):
+        pool_path, other = tmp_path / "p.json", tmp_path / "q.json"
+        init_pool(capsys, pool_path)
+        init_pool(capsys, other)
+        argv = ["quote", "--pool", str(pool_path), "--token-in", "0", "--token-out", "1",
+                "--amount", "0.25"]
+        alone = subprocess.run([sys.executable, "-m", "polarpool.cli", *argv],
+                               capture_output=True, text=True)
+        assert alone.returncode == 0, alone.stderr
+        code, _, err = run(capsys, "swap", "--pool", str(other), "--token-in", "0",
+                           "--token-out", "1", "--amount", "0.25", "--exact-out")
+        assert code == 0, err
+        assert run(capsys, *argv) == (0, alone.stdout, "")
+
+    def test_usage_error_then_valid_command(self, tmp_path, capsys):
+        pool_path = tmp_path / "p.json"
+        init_pool(capsys, pool_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["quote", "--pool", str(pool_path)])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+        code, out, _ = quote(capsys, pool_path)
+        assert code == 0
+        assert json.loads(out)["amount_in"] == "0.1"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["quote", "--help"]])
+    def test_help_matches_a_fresh_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 0
+        fresh = capsys.readouterr().out
+        if argv == ["--help"]:
+            assert fresh == build_parser().format_help()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == fresh
+
+    def test_no_call_builds_a_parser(self, tmp_path, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("build_parser called after import")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        init_pool(capsys, tmp_path / "p.json")
+        code, out, _ = run(capsys, "convert", "--price", "1")
+        assert code == 0
+        assert json.loads(out)["angle_deg"] == "45"
 
 
 class TestConsoleScript:

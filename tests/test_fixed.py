@@ -125,6 +125,61 @@ class TestBasicArithmetic:
         assert abs(back.raw - x.raw) <= abs(y.raw) // WAD + 1
 
 
+R = F.from_raw
+# (10^38 + 1) = 101 * 990099009900990099009900990099009901
+EDGE_FACTOR = (fixed.MAX_RAW + 1) // 101
+
+
+class TestRangeEdge:
+    """Every wrap into FixedDecimal accepts |raw| = MAX_RAW and raises
+    RangeError one quantum past it, in both signs."""
+
+    # name -> (result of raw +-MAX_RAW, result of raw +-(MAX_RAW + 1)), given the sign
+    CASES = {
+        "from_raw": (lambda s: R(s * fixed.MAX_RAW),
+                     lambda s: R(s * (fixed.MAX_RAW + 1))),
+        "init_int": (lambda s: F(s * 10 ** 20),
+                     lambda s: F(s * (10 ** 20 + 1))),
+        "init_str": (lambda s: F(("-" if s < 0 else "") + "100000000000000000000"),
+                     lambda s: F(("-" if s < 0 else "")
+                                 + "100000000000000000000.000000000000000001")),
+        "init_copy": (lambda s: F(R(s * fixed.MAX_RAW)), None),
+        "from_fraction": (lambda s: F.from_fraction(s * fixed.MAX_RAW, WAD),
+                          lambda s: F.from_fraction(s * (fixed.MAX_RAW + 1), WAD)),
+        "fp_add": (lambda s: fp_add(R(s * (fixed.MAX_RAW - 1)), R(s)),
+                   lambda s: fp_add(R(s * fixed.MAX_RAW), R(s))),
+        "fp_sub": (lambda s: fp_sub(R(s * (fixed.MAX_RAW - 1)), R(-s)),
+                   lambda s: fp_sub(R(s * fixed.MAX_RAW), R(-s))),
+        "fp_mul": (lambda s: fp_mul(R(s * 10 ** 36), F(100)),
+                   lambda s: fp_mul(R(s * EDGE_FACTOR), F(101))),
+        # n * WAD / (WAD - 1) rounds to MAX_RAW at n = MAX_RAW - 10^20, one more at n + 1
+        "fp_div": (lambda s: fp_div(R(s * (fixed.MAX_RAW - 10 ** 20)), R(WAD - 1)),
+                   lambda s: fp_div(R(s * (fixed.MAX_RAW - 10 ** 20 + 1)), R(WAD - 1))),
+    }
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_edge(self, name, sign):
+        at_edge, past_edge = self.CASES[name]
+        assert at_edge(sign).raw == sign * fixed.MAX_RAW
+        if past_edge is not None:
+            with pytest.raises(RangeError):
+                past_edge(sign)
+
+    def test_neg_and_abs_of_the_edges(self):
+        for raw in (fixed.MAX_RAW, -fixed.MAX_RAW):
+            assert (-R(raw)).raw == -raw
+            assert abs(R(raw)).raw == fixed.MAX_RAW
+
+    def test_immutable(self):
+        x = R(fixed.MAX_RAW)
+        with pytest.raises(AttributeError):
+            x.raw = 0
+        with pytest.raises(AttributeError):
+            x.other = 0
+        assert x.raw == fixed.MAX_RAW
+
+
 class TestSqrt:
     def test_perfect_square(self):
         assert fp_sqrt(F(4)) == F(2)
