@@ -6,33 +6,4 @@ depeg hedge. All public arithmetic is 18-digit fixed point so identical
 inputs give bit-identical outputs on any platform.
 """
 
-from .fixed import (
-    FixedDecimal,
-    ZERO,
-    ONE,
-    TWO,
-    PI,
-    SQRT2,
-    fp_add,
-    fp_sub,
-    fp_mul,
-    fp_div,
-    fp_sqrt,
-    fp_pow,
-    fp_ln,
-    fp_exp,
-    fp_sin,
-    fp_cos,
-)
-from .errors import (
-    DomainError,
-    EngineError,
-    InsufficientLiquidityError,
-    NotFoundError,
-    NumericError,
-    RangeError,
-    ShapeError,
-    ValidationError,
-)
-
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .fixed import (
     fp_ln,
     fp_mul,
     fp_pow,
-    fp_sin,
+    fp_sin_cos,
     fp_sub,
 )
 from .invariant import default_offset, eta
@@ -114,7 +114,7 @@ def fingerprint_csemm(params: FingerprintParams, t: FixedDecimal) -> FixedDecima
 
 def multimodal_radius(params: FingerprintParams, theta: FixedDecimal) -> FixedDecimal:
     """Sinusoidally perturbed radius L / (1 - sin(alpha*theta)^2 / 2)^(1/beta)."""
-    sin_a = fp_sin(fp_mul(F(params.alpha_mm), theta))
+    sin_a = fp_sin_cos(fp_mul(F(params.alpha_mm), theta))[0]
     inner = fp_sub(ONE, fp_div(fp_mul(sin_a, sin_a), TWO))
     exponent = fp_div(ONE, F(params.beta_mm))
     return fp_mul(params.big_l, fp_pow(inner, -exponent))

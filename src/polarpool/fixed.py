@@ -49,13 +49,13 @@ __all__ = [
     "fp_pow",
     "fp_ln",
     "fp_exp",
-    "fp_sin",
-    "fp_cos",
     "fp_sin_cos",
     "fp_atan2",
 ]
 
-# Single scale constant; change here to compile an alternate grid.
+# The one scale constant, fixed at 18 (the WAD): the pinned golden raws and
+# every pool file and trade log hold values on this grid, so another scale
+# would change every output and refuse the 18-digit decimals they hold.
 DECIMALS = 18
 WAD = 10 ** DECIMALS
 
@@ -137,7 +137,7 @@ class FixedDecimal:
         units, frac = divmod(abs(self.raw), WAD)
         if frac == 0:
             return f"{sign}{units}"
-        digits = f"{frac:018d}".rstrip("0")
+        digits = f"{frac:0{DECIMALS}d}".rstrip("0")
         return f"{sign}{units}.{digits}"
 
     def __repr__(self) -> str:
@@ -445,16 +445,6 @@ def _sin_cos(a: FixedDecimal) -> tuple[int, int]:
     if quadrant == 2:
         return -s, -c
     return -c, s
-
-
-def fp_sin(a: FixedDecimal) -> FixedDecimal:
-    """Sine of an angle in radians."""
-    return _from_scaled(_sin_cos(a)[0])
-
-
-def fp_cos(a: FixedDecimal) -> FixedDecimal:
-    """Cosine of an angle in radians."""
-    return _from_scaled(_sin_cos(a)[1])
 
 
 def fp_sin_cos(a: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:

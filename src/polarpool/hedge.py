@@ -18,7 +18,7 @@ reads, so marking a price evaluates no trigonometric function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, RangeError, ValidationError
 from .fixed import (
@@ -32,7 +32,7 @@ from .fixed import (
 )
 from .invariant import CurveParams
 from .polar import NINETY, arbitrage_point, boundary_cos_sin, price_to_angle
-from .ticks import LpPosition, TickGrid, TickLedger, add_position
+from .ticks import LpPosition, TickGrid, TickLedger
 
 F = FixedDecimal
 
@@ -129,8 +129,7 @@ def build_hedge(params: CurveParams, ledger: TickLedger,
                 spec: HedgeSpec) -> tuple[LpPosition, LpPosition, TickLedger]:
     """Construct the spread and register both legs in the ledger."""
     long_leg, short_leg = hedge_legs(params, ledger.grid, spec)
-    ledger = add_position(ledger, long_leg)
-    ledger = add_position(ledger, short_leg, _from_hedge=True)
+    ledger = replace(ledger, positions=ledger.positions + (long_leg, short_leg))
     return long_leg, short_leg, ledger
 
 

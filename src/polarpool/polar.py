@@ -53,15 +53,6 @@ NINETY = F(90)
 DEG_PER_RAD = fp_div(F(180), PI)
 
 
-def deg_to_rad(angle_deg: FixedDecimal) -> FixedDecimal:
-    # pi / 180 rounded to the grid would carry its rounding times the angle
-    return fp_div(fp_mul(angle_deg, PI), F(180))
-
-
-def rad_to_deg(angle_rad: FixedDecimal) -> FixedDecimal:
-    return fp_mul(angle_rad, DEG_PER_RAD)
-
-
 def arc_cos_sin(angle_deg: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
     """(cos, sin) of an arc angle in degrees, in [0, 90].
 
@@ -75,7 +66,8 @@ def arc_cos_sin(angle_deg: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
         return sin_m, cos_m
     if angle_deg.is_zero():
         return ONE, ZERO
-    sin_a, cos_a = fp_sin_cos(deg_to_rad(angle_deg))
+    # pi / 180 rounded to the grid would carry its rounding times the angle
+    sin_a, cos_a = fp_sin_cos(fp_div(fp_mul(angle_deg, PI), F(180)))
     return cos_a, sin_a
 
 
@@ -96,7 +88,7 @@ def point_angle(x: FixedDecimal, y: FixedDecimal) -> FixedDecimal:
     """
     if x.is_zero():
         return NINETY
-    return rad_to_deg(fp_atan2(y, x))
+    return fp_mul(fp_atan2(y, x), DEG_PER_RAD)
 
 
 def arbitrage_point(price: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:

@@ -93,17 +93,6 @@ class TickGrid:
     def tick_count(self) -> int:
         return _NINETY_RAW // self.spacing_deg.raw
 
-    def is_aligned(self, angle_deg: FixedDecimal) -> bool:
-        return (
-            ZERO <= angle_deg <= NINETY
-            and angle_deg.raw % self.spacing_deg.raw == 0
-        )
-
-    def boundary(self, index: int) -> FixedDecimal:
-        if not 0 <= index <= self.tick_count:
-            raise ValidationError("tick index out of range")
-        return FixedDecimal.from_raw(index * self.spacing_deg.raw)
-
 
 @dataclass(frozen=True)
 class LpPosition:
@@ -124,9 +113,6 @@ class LpPosition:
             raise ValidationError("lower bound must be below upper bound")
         if self.lower_deg < ZERO or self.upper_deg > NINETY:
             raise ValidationError("position must lie within [0, 90] degrees")
-
-    def contains(self, angle_deg: FixedDecimal) -> bool:
-        return self.lower_deg <= angle_deg < self.upper_deg
 
 
 @dataclass(frozen=True)
@@ -194,31 +180,25 @@ class TickLedger:
         return tuple(_NINETY_RAW - raw for raw in reversed(raws)), below[::-1]
 
 
-def _active(index, raw: int) -> FixedDecimal:
-    """Liquidity on the half-open segment of ``index`` holding ``raw``."""
-    raws, totals = index
-    k = bisect_right(raws, raw)
-    return totals[k - 1] if k else ZERO
-
-
 def active_liquidity(ledger: TickLedger, angle_deg: FixedDecimal) -> FixedDecimal:
     """Aggregate liquidity at an angle (sum over containing positions)."""
     if angle_deg < ZERO or angle_deg > NINETY:
         raise DomainError("angle outside [0, 90] degrees")
-    total = _active(ledger.index, angle_deg.raw)
+    raws, totals = ledger.index
+    k = bisect_right(raws, angle_deg.raw)
+    total = totals[k - 1] if k else ZERO
     if total < ZERO:
         raise NumericError("negative aggregate liquidity in the ledger")
     return total
 
 
-def add_position(ledger: TickLedger, position: LpPosition, *,
-                 _from_hedge: bool = False) -> TickLedger:
-    """Register a position; the new ledger passes the ledger's checks.
+def add_position(ledger: TickLedger, position: LpPosition) -> TickLedger:
+    """Register a long position; the new ledger passes the ledger's checks.
 
-    Short positions are constructible only through the hedge builder, and
-    only while longs cover them everywhere.
+    Short positions enter a ledger only with the longs that cover them,
+    through the hedge builder or a pool file.
     """
-    if position.side == "short" and not _from_hedge:
+    if position.side == "short":
         raise ValidationError("short positions are created by the hedge builder")
     return replace(ledger, positions=ledger.positions + (position,))
 
@@ -238,8 +218,8 @@ def tick_width_in_price(grid: TickGrid, tick_index: int):
     """
     if not 0 <= tick_index < grid.tick_count:
         raise ValidationError("tick index out of range")
-    angle_lo = grid.boundary(tick_index)
-    angle_hi = grid.boundary(tick_index + 1)
+    angle_lo = FixedDecimal.from_raw(tick_index * grid.spacing_deg.raw)
+    angle_hi = fp_add(angle_lo, grid.spacing_deg)
     price_lo = angle_to_price(angle_hi)
     price_hi = None if angle_lo.is_zero() else angle_to_price(angle_lo)
     return price_lo, price_hi
@@ -445,17 +425,18 @@ def replay(params: CurveParams, ledger: TickLedger, state: PoolState, trades):
     trade, the state after the last of them, the largest of those
     residuals (zero for none), and the ``InsufficientLiquidityError``,
     with its partial fill, of the trade that stopped the replay, or None.
-    That trade, ``trades[len(rows)]``, commits nothing.
+    That trade, ``trades[len(rows)]``, commits nothing. A trade that fails
+    validation raises its ``ValidationError`` prefixed with ``trade {seq}:``.
     """
     rows = []
     max_residual = ZERO
     for seq, i, j, amount in trades:
-        if not (0 <= i < params.n and 0 <= j < params.n) or i == j:
-            raise ValidationError(f"trade {seq}: bad token indices")
         try:
             quote, state, _ = route_swap(params, ledger, state, "ticks", i, j, amount)
         except InsufficientLiquidityError as exc:
             return rows, state, max_residual, exc
+        except ValidationError as exc:
+            raise ValidationError(f"trade {seq}: {exc}") from None
         residual = abs(invariant_residual(params, state))
         max_residual = max(max_residual, residual)
         rows.append((seq, i, j, amount, quote.amount_out, residual))

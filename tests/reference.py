@@ -11,7 +11,7 @@ import math
 import mpmath
 from hypothesis import strategies as st
 
-from polarpool.fixed import WAD, ZERO
+from polarpool.fixed import WAD, FixedDecimal
 
 
 def to_mp(x):
@@ -27,12 +27,13 @@ def spread_raws(lo: int, hi: int):
 
 
 def brute_force_active(ledger, angle):
-    """Signed liquidity of every position of ``ledger`` that holds ``angle``."""
-    total = ZERO
+    """Signed liquidity of every position of ``ledger`` that holds ``angle``,
+    summed on raws over the half-open ranges lower <= angle < upper."""
+    total = 0
     for p in ledger.positions:
-        if p.contains(angle):
-            total = total + (p.liquidity if p.side == "long" else -p.liquidity)
-    return total
+        if p.lower_deg.raw <= angle.raw < p.upper_deg.raw:
+            total += p.liquidity.raw if p.side == "long" else -p.liquidity.raw
+    return FixedDecimal.from_raw(total)
 
 
 def integrate_swap_oracle(positions, start_deg: float, delta_in: float,

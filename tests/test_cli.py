@@ -263,6 +263,20 @@ class TestReplay:
         assert code == 3
         assert "seq 1" in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("2,0,1,-0.1", "amount must be non-negative"),
+        ("2,1,1,0.1", "bad token indices"),
+    ], ids=["negative-amount", "same-token"])
+    def test_invalid_trade_named_by_seq(self, tmp_path, capsys, row, message):
+        pool_path = tmp_path / "p.json"
+        init_pool(capsys, pool_path)
+        log = tmp_path / "log.csv"
+        log.write_text(f"seq,token_in,token_out,amount_in\n1,0,1,0.1\n{row}\n")
+        code, out, err = run(capsys, "replay", "--pool", str(pool_path),
+                             "--log", str(log))
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: trade 2: {message}\n"
+
     def test_bad_header_rejected(self, tmp_path, capsys):
         pool_path = tmp_path / "p.json"
         init_pool(capsys, pool_path)

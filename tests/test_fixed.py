@@ -24,14 +24,12 @@ from polarpool.fixed import (
     ZERO,
     fp_add,
     fp_atan2,
-    fp_cos,
     fp_div,
     fp_exp,
     fp_hypot,
     fp_ln,
     fp_mul,
     fp_pow,
-    fp_sin,
     fp_sin_cos,
     fp_sqrt,
     fp_sqrt_diff_squares,
@@ -330,11 +328,11 @@ class TestLnExp:
 
 class TestTrig:
     def test_sin_zero(self):
-        assert fp_sin(ZERO) == ZERO
+        assert fp_sin_cos(ZERO)[0] == ZERO
 
     def test_cos_135_degrees(self):
         angle = fp_mul(F(3), fp_div(PI, F(4)))
-        got = fp_cos(angle)
+        got = fp_sin_cos(angle)[1]
         # reference evaluated at the stored argument
         assert_close_to_reference(got, mpmath.cos(to_mp(angle)))
         # and against the ideal -sqrt(2)/2 within the argument rounding
@@ -345,19 +343,20 @@ class TestTrig:
         for _ in range(400):
             raw = rng.randrange(-20 * WAD, 20 * WAD)
             a = F.from_raw(raw)
-            assert_close_to_reference(fp_sin(a), mpmath.sin(to_mp(a)))
-            assert_close_to_reference(fp_cos(a), mpmath.cos(to_mp(a)))
+            s, c = fp_sin_cos(a)
+            assert_close_to_reference(s, mpmath.sin(to_mp(a)))
+            assert_close_to_reference(c, mpmath.cos(to_mp(a)))
 
     def test_large_argument_reduction(self):
         a = F("12345678901.123456789123456789")
-        assert_close_to_reference(fp_sin(a), mpmath.sin(to_mp(a)), rel=1e-14, ulps=2)
+        assert_close_to_reference(fp_sin_cos(a)[0], mpmath.sin(to_mp(a)), rel=1e-14, ulps=2)
 
     # angles from 1e-6 to 20 radians, every magnitude about equally often
     @given(signed(spread_raws(13, 20)).filter(lambda raw: abs(raw) <= 20 * WAD))
     @settings(max_examples=300)
     def test_pythagorean_identity_within_4_ulp(self, raw):
         a = F.from_raw(raw)
-        s, c = fp_sin(a), fp_cos(a)
+        s, c = fp_sin_cos(a)
         total = fp_add(fp_mul(s, s), fp_mul(c, c))
         assert abs(total.raw - WAD) <= 4
 
@@ -384,7 +383,6 @@ class TestCorrectRounding:
         with mpmath.workdps(60):
             assert_correctly_rounded(s, mpmath.sin(to_mp(a)))
             assert_correctly_rounded(c, mpmath.cos(to_mp(a)))
-        assert (fp_sin(a), fp_cos(a)) == (s, c)
 
     @given(signed(spread_raws(1, 38)), signed(spread_raws(1, 38)))
     @settings(max_examples=300)
@@ -444,8 +442,8 @@ class TestDeterminism:
         assert fp_sqrt(TWO).raw == 1414213562373095049
         assert fp_ln(TWO).raw == 693147180559945309
         assert fp_exp(ONE).raw == 2718281828459045235
-        assert fp_sin(ONE).raw == 841470984807896507
-        assert fp_cos(ONE).raw == 540302305868139717
+        s, c = fp_sin_cos(ONE)
+        assert (s.raw, c.raw) == (841470984807896507, 540302305868139717)
         assert fp_pow(TWO, F("0.5")).raw == 1414213562373095049
         assert PI.raw == 3141592653589793238
 
@@ -459,7 +457,7 @@ class TestDeterminism:
                     *(v.raw for v in fx.fp_sin_cos(G("0.123456789123456789"))),
                     fx.fp_exp(G("12.345678901234567891")).raw,
                     fx.fp_pow(G("1.234567890123456789"), G("2.5")).raw,
-                    fx.fp_cos(G("123456.789")).raw, fx.PI.raw, fx.LN2.raw]
+                    fx.fp_sin_cos(G("123456.789"))[1].raw, fx.PI.raw, fx.LN2.raw]
 
         want = raws(fixed)
         ctx = decimal.getcontext()

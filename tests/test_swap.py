@@ -1,5 +1,6 @@
 """Cartesian swaps against the exact reference and each other."""
 
+import json
 import random
 
 import mpmath
@@ -21,6 +22,7 @@ from polarpool.invariant import (
     solve_shifted_scale,
     spot_price,
 )
+from polarpool.polar import point_angle
 from polarpool.poolfile import load as load_pool
 from polarpool.swap import commit, pair_swap, y_of_x
 from polarpool.ticks import LpPosition, TickLedger, add_position, route_swap
@@ -309,9 +311,9 @@ class TestUnequalCurves:
         assert abs(back.reserves[other].raw - WAD) <= 10 ** 9
 
 
-def item5(defect, raises):
+def known_defect(item, defect, raises):
     return pytest.mark.xfail(strict=True, raises=raises,
-                             reason=f"ROADMAP item 5: {defect}")
+                             reason=f"ROADMAP item {item}: {defect}")
 
 
 def lands_on_exact_circle(params, state, quote):
@@ -331,7 +333,7 @@ def lands_on_exact_circle(params, state, quote):
 class TestKnownDefects:
     """Defects reproduced on the engine; each test passes once its defect is mended."""
 
-    @item5("the n > 2 pair circle misses the start point", AssertionError)
+    @known_defect(5, "the n > 2 pair circle misses the start point", AssertionError)
     def test_n3_one_quantum_sell_quotes_no_negative_amount(self):
         params = CurveParams(n=3)
         reserves = tuple(F(r) for r in ("0.306137971146323821", "0.306137971146323840",
@@ -344,7 +346,7 @@ class TestKnownDefects:
             assert quote.amount_out >= ZERO, route
             assert lands_on_exact_circle(params, state, quote), route
 
-    @item5("rounding favours the trader", AssertionError)
+    @known_defect(5, "rounding favours the trader", AssertionError)
     def test_round_trip_returns_no_more_than_paid(self):
         reserves = (F.from_raw(2247305487775895039), F.from_raw(622070373767276685))
         state = PoolState(reserves, liquidity_scale=solve_ccmm_scale(CIRCLE, reserves))
@@ -356,8 +358,8 @@ class TestKnownDefects:
         assert lands_on_exact_circle(CIRCLE, mid, back)
         assert back.amount_out <= paid
 
-    @item5("a pool parked at an arc end cannot trade away from it",
-           (NumericError, DomainError))
+    @known_defect(5, "a pool parked at an arc end cannot trade away from it",
+                  (NumericError, DomainError))
     def test_pool_parked_at_angle_0_trades_away_on_every_route(self, tmp_path, capsys):
         pool_path = str(tmp_path / "pool.json")
         assert cli_main(["init", "--pool", pool_path, "--reserves", "1,1"]) == 0
@@ -371,3 +373,31 @@ class TestKnownDefects:
                                      0, 1, F("0.5"))
             assert quote.amount_out > ZERO, route
             assert lands_on_exact_circle(pool.params, pool.state, quote), route
+
+    @known_defect(5, "a pool file off its curve trades", AssertionError)
+    def test_off_curve_pool_file_refused(self, tmp_path, capsys):
+        # reserves[1] set to 0.5 quotes amount_out -0.403980537886959995; set to
+        # 1.5 it pays 0.596019462113040005 where the curve gives 0.096019462113040005
+        pool_path = tmp_path / "p.json"
+        assert cli_main(["init", "--pool", str(pool_path)]) == 0
+        doc = json.loads(pool_path.read_text())
+        for reserve in ("0.5", "1.5"):
+            doc["reserves"][1] = reserve
+            pool_path.write_text(json.dumps(doc))
+            before = pool_path.read_bytes()
+            for command in ("quote", "swap"):
+                for route in ("cartesian", "polar", "ticks"):
+                    code = cli_main([command, "--pool", str(pool_path), "--token-in", "0",
+                                     "--token-out", "1", "--amount", "0.1", "--route", route])
+                    assert code == 2, (reserve, command, route)
+                    assert pool_path.read_bytes() == before
+        capsys.readouterr()
+
+    @known_defect(3, "point_angle rounds twice after fp_atan2", AssertionError)
+    def test_diagonal_point_is_at_45(self, tmp_path, capsys):
+        assert point_angle(ONE, ONE) == F(45)
+        assert point_angle(F(3), F(3)) == F(45)
+        pool_path = str(tmp_path / "p.json")
+        assert cli_main(["init", "--pool", pool_path, "--reserves", "1,1"]) == 0
+        capsys.readouterr()
+        assert load_pool(pool_path).state.angle_deg == F(45)

@@ -57,8 +57,9 @@ class TestGrid:
 
     def test_alignment(self):
         grid = TickGrid(spacing_deg=F("0.5"))
-        assert grid.is_aligned(F("40.5"))
-        assert not grid.is_aligned(F("40.25"))
+        TickLedger(grid=grid, positions=(LpPosition("a", F("40.5"), F(41), ONE),))
+        with pytest.raises(ValidationError, match="tick-aligned"):
+            TickLedger(grid=grid, positions=(LpPosition("a", F("40.25"), F(41), ONE),))
 
 
 class TestLedgerBookkeeping:
@@ -93,19 +94,13 @@ class TestLedgerBookkeeping:
             add_position(ledger, LpPosition("s", F(10), F(11), ONE, side="short"))
 
     def test_short_cannot_exceed_long(self):
-        ledger = TickLedger()
-        ledger = add_position(ledger, LpPosition("a", F(10), F(12), ONE))
         with pytest.raises(ValidationError):
-            add_position(
-                ledger,
-                LpPosition("s", F(10), F(12), F(2), side="short"),
-                _from_hedge=True,
-            )
+            TickLedger(positions=(LpPosition("a", F(10), F(12), ONE),
+                                  LpPosition("s", F(10), F(12), F(2), side="short")))
 
     def test_removing_cover_of_short_rejected(self):
-        ledger = add_position(TickLedger(), LpPosition("a", F(10), F(12), ONE))
-        ledger = add_position(ledger, LpPosition("s", F(10), F(11), ONE, side="short"),
-                              _from_hedge=True)
+        ledger = TickLedger(positions=(LpPosition("a", F(10), F(12), ONE),
+                                       LpPosition("s", F(10), F(11), ONE, side="short")))
         with pytest.raises(ValidationError, match="short liquidity exceeds long"):
             remove_position(ledger, "a")
 
