@@ -148,6 +148,9 @@ def cmd_trade(args) -> int:
         args.token_in, args.token_out, F(args.amount), args.exact_out,
     )
     if args.command == "swap":
+        if tick_result is not None:
+            # the file keeps the angle the walk ends on, the next load's key
+            state = replace(state, angle_deg=tick_result.final_angle_deg)
         save(args.pool, replace(pool, state=state))
     _print_json(_quote_payload(args, quote, tick_result))
     return EXIT_OK

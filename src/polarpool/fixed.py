@@ -18,7 +18,15 @@ at a working scale of 10^-50 and round once to the 18-digit grid, so each
 result is the nearest grid point to the exact value unless that value
 lies within about 1e-30 quanta of a rounding boundary. There is no acos
 or asin: the engine forms an angle only from a point's two coordinates,
-with atan2.
+with atan2, which converts to degrees at the working scale when asked,
+so an angle in degrees is rounded once too.
+
+Code that computes on raw unit counts, such as the tick walk, uses the
+integer cores directly: ``_round_div`` for a product or quotient,
+``_div`` for a quotient of raws, ``_isqrt_diff_squares`` for a root of an
+exact radicand, and ``MAX_RAW`` with ``_range_error`` for the overflow a
+wrap would raise. They keep their underscores so that span tracers, which
+wrap public functions, leave them alone.
 """
 
 from __future__ import annotations
@@ -77,6 +85,11 @@ _PI_RAW = int(
 )
 
 
+def _range_error() -> RangeError:
+    """The overflow of a value past MAX_RAW, which no wrap lets through."""
+    return RangeError("fixed-point overflow: |value| exceeds 1e20")
+
+
 def _round_div(n: int, d: int) -> int:
     """Divide integers rounding half to even. Requires d > 0."""
     q, r = divmod(n, d)
@@ -109,14 +122,14 @@ class FixedDecimal:
                 f"FixedDecimal accepts int, str, or FixedDecimal, not {type(value).__name__}"
             )
         if raw > MAX_RAW or raw < -MAX_RAW:
-            raise RangeError("fixed-point overflow: |value| exceeds 1e20")
+            raise _range_error()
         _set_raw(self, raw)
 
     @classmethod
     def from_raw(cls, raw: int) -> "FixedDecimal":
         """Wrap a raw 10^-18 unit count without scaling."""
         if raw > MAX_RAW or raw < -MAX_RAW:
-            raise RangeError("fixed-point overflow: |value| exceeds 1e20")
+            raise _range_error()
         out = object.__new__(cls)
         _set_raw(out, raw)
         return out
@@ -244,12 +257,17 @@ def fp_mul(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
 
 def fp_div(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
     """Quotient rounded half-even at the 18th fractional digit."""
-    if b.raw == 0:
+    return FixedDecimal.from_raw(_div(a.raw, b.raw))
+
+
+def _div(a: int, b: int) -> int:
+    """The raw quotient of raws a / b, rounded half-even."""
+    if b == 0:
         raise DomainError("division by zero")
-    n, d = a.raw * WAD, b.raw
+    n, d = a * WAD, b
     if d < 0:
         n, d = -n, -d
-    return FixedDecimal.from_raw(_round_div(n, d))
+    return _round_div(n, d)
 
 
 def fp_sqrt(a: FixedDecimal) -> FixedDecimal:
@@ -270,10 +288,7 @@ def fp_sqrt_diff_squares(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
     rounding. fp_sqrt of a rounded a^2 - b^2 would carry two, the first
     amplified by 1 / (2 sqrt(a^2 - b^2)) as |b| nears |a|.
     """
-    n = a.raw * a.raw - b.raw * b.raw
-    if n < 0:
-        raise DomainError("sqrt(a^2 - b^2) needs |b| <= |a|")
-    return FixedDecimal.from_raw(_nearest_isqrt(n))
+    return FixedDecimal.from_raw(_isqrt_diff_squares(a.raw, b.raw))
 
 
 def fp_hypot(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
@@ -292,6 +307,14 @@ def fp_unit(a: FixedDecimal, b: FixedDecimal) -> tuple[FixedDecimal, FixedDecima
         raise DomainError("unit vector needs a, b >= 0, not both 0")
     return (FixedDecimal.from_raw(_nearest_isqrt(a.raw * a.raw * WAD * WAD, n)),
             FixedDecimal.from_raw(_nearest_isqrt(b.raw * b.raw * WAD * WAD, n)))
+
+
+def _isqrt_diff_squares(a: int, b: int) -> int:
+    """The integer nearest sqrt(a^2 - b^2), for integers with |b| <= |a|."""
+    n = a * a - b * b
+    if n < 0:
+        raise DomainError("sqrt(a^2 - b^2) needs |b| <= |a|")
+    return _nearest_isqrt(n)
 
 
 def _nearest_isqrt(n: int, d: int = 1) -> int:
@@ -359,7 +382,7 @@ def _exp(x: int) -> int:
     """exp(x / _ONE) at scale _ONE; RangeError above the representable range."""
     # e^47 > 1e20: checked before the shift, so no huge 2^k is ever built
     if x > 47 * _ONE:
-        raise RangeError("fixed-point overflow: |value| exceeds 1e20")
+        raise _range_error()
     k, r = divmod(x, _LN2)  # x = k ln 2 + r, 0 <= r < ln 2
     total, term, n = 0, _ONE, 0
     while term:
@@ -472,11 +495,19 @@ def _angle(y: int, x: int) -> int:
     return -angle if y < 0 else angle
 
 
-def fp_atan2(y: FixedDecimal, x: FixedDecimal) -> FixedDecimal:
-    """Two-argument arctangent in radians, standard quadrant convention."""
+def fp_atan2(y: FixedDecimal, x: FixedDecimal, degrees: bool = False) -> FixedDecimal:
+    """Two-argument arctangent, standard quadrant convention.
+
+    In radians, or with ``degrees`` in degrees: the working-scale angle
+    times 180 over pi at pi's full 110 digits, rounded once to the grid.
+    """
     if x.raw == 0 and y.raw == 0:
         raise DomainError("atan2(0, 0) is undefined")
-    return _from_scaled(_angle(y.raw, x.raw))
+    angle = _angle(y.raw, x.raw)
+    if degrees:
+        return FixedDecimal.from_raw(_round_div(
+            180 * angle * 10 ** (_PI_DIGITS - _DIGITS + DECIMALS), _PI_RAW))
+    return _from_scaled(angle)
 
 
 # -- constants ------------------------------------------------------------

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NumericError, ShapeError, ValidationError
 from .fixed import (
+    MAX_RAW,
     FixedDecimal,
     LN2,
     ONE,
@@ -29,6 +30,8 @@ from .fixed import (
     TWO,
     WAD,
     ZERO,
+    _range_error,
+    _round_div,
     fp_add,
     fp_div,
     fp_ln,
@@ -105,11 +108,12 @@ class CurveParams:
 class PoolState:
     """Reserve vector plus the active liquidity scale.
 
-    ``angle_deg`` caches the polar angle of two-token circular states so
-    tick traversal does not have to re-derive it. ``init`` sets it for
-    two-token circular pools and a tick-route commit sets it; a Cartesian
-    or polar commit clears it to None, and the angle is then derived from
-    the reserves.
+    ``angle_deg``, when set, is a two-token circular state's segment key on
+    the tick route: ``init`` sets it, a tick walk that lands on a boundary
+    sets it to that boundary's exact angle, and the CLI saves a tick swap
+    with the angle where it ends. Any other commit leaves None, and the
+    tick route then finds the segment from the reserves, which must lie on
+    the arc.
     """
 
     reserves: tuple[FixedDecimal, ...]
@@ -143,16 +147,24 @@ def token_pair(params: CurveParams, token: int, other: int | None = None
 
 
 def ccmm_residual(params: CurveParams, reserves, scale: FixedDecimal = ONE) -> FixedDecimal:
-    """sum_i (x_i - l*s)^2 - (l*s)^2; zero means on-curve."""
+    """sum_i (x_i - l*s)^2 - (l*s)^2; zero means on-curve.
+
+    Each square is rounded to the grid, as fp_mul rounds it, and summed on
+    raws. The squares are never negative, so the sum passes the range
+    exactly where some partial sum, square or difference would.
+    """
     reserves = tuple(reserves)
     if len(reserves) != params.n:
         raise ShapeError(f"expected {params.n} reserves, got {len(reserves)}")
-    offset = fp_mul(params.l, scale)
-    total = ZERO
+    offset = fp_mul(params.l, scale).raw
+    total = 0
     for x in reserves:
-        d = fp_sub(x, offset)
-        total = fp_add(total, fp_mul(d, d))
-    return fp_sub(total, fp_mul(offset, offset))
+        d = x.raw - offset
+        total += _round_div(d * d, WAD)
+    square = _round_div(offset * offset, WAD)
+    if total > MAX_RAW or square > MAX_RAW:
+        raise _range_error()
+    return FixedDecimal.from_raw(total - square)
 
 
 def csemm_residual(params: CurveParams, reserves, scale: FixedDecimal = ONE) -> FixedDecimal:

@@ -16,7 +16,9 @@ Degrees are the public angle unit; radians appear only inside the
 trigonometric calls. An angle and an arc point are two labels of one
 place, and each direction has one conversion: :func:`arc_cos_sin` from an
 angle to the unit point (cos phi, sin phi), and :func:`point_angle` from a
-point R (cos phi, sin phi) back to the angle.
+point R (cos phi, sin phi) back to the angle, correctly rounded. Trades
+form no angle: the tick walk finds a point's segment by comparing its
+cosine with the boundaries', and degrees are formed only for output.
 
 This module trades nothing. The polar route's rotation that adds
 ``delta`` to the in-reserve ends where the pair circle meets the new
@@ -45,12 +47,11 @@ from .fixed import (
     fp_sub,
     fp_unit,
 )
-from .invariant import CurveParams, ON_CURVE_TOLERANCE, PoolState
+from .invariant import CurveParams, ON_CURVE_TOLERANCE
 
 F = FixedDecimal
 
 NINETY = F(90)
-DEG_PER_RAD = fp_div(F(180), PI)
 
 
 def arc_cos_sin(angle_deg: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
@@ -84,11 +85,12 @@ def boundary_cos_sin(raw: int) -> tuple[FixedDecimal, FixedDecimal]:
 def point_angle(x: FixedDecimal, y: FixedDecimal) -> FixedDecimal:
     """Angle in degrees of the arc point R (cos phi, sin phi) = (x, y).
 
-    The inverse of :func:`arc_cos_sin`; a point with x = 0 is exactly at 90.
+    The inverse of :func:`arc_cos_sin`, correctly rounded; a point with
+    x = 0 is exactly at 90.
     """
     if x.is_zero():
         return NINETY
-    return fp_mul(fp_atan2(y, x), DEG_PER_RAD)
+    return fp_atan2(y, x, degrees=True)
 
 
 def arbitrage_point(price: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
@@ -123,12 +125,14 @@ def reserves_at_angle(params: CurveParams, angle_deg: FixedDecimal,
     return x, y
 
 
-def cartesian_to_polar(params: CurveParams, x: FixedDecimal, y: FixedDecimal,
-                       scale: FixedDecimal = ONE) -> FixedDecimal:
-    """Angle in degrees of an on-curve reserve point.
+def arc_point(params: CurveParams, x: FixedDecimal, y: FixedDecimal,
+              scale: FixedDecimal = ONE) -> tuple[FixedDecimal, FixedDecimal]:
+    """The point R (cos phi, sin phi) = (L - x, L - y) of an on-curve reserve pair.
 
-    Rejects points whose distance from the center deviates from L by more
-    than the on-curve tolerance.
+    L = l * scale. Rejects points outside the trading quadrant and points
+    whose distance from the center deviates from L by more than the
+    on-curve tolerance. Either reserve may come first: the point of
+    (y, x) is the mirror of the point of (x, y).
     """
     offset = fp_mul(params.l, scale)
     dx = fp_sub(offset, x)
@@ -137,15 +141,13 @@ def cartesian_to_polar(params: CurveParams, x: FixedDecimal, y: FixedDecimal,
         raise DomainError("point outside the trading quadrant")
     if abs(fp_sub(fp_hypot(dx, dy), offset)) > ON_CURVE_TOLERANCE:
         raise DomainError("off-curve point: radius deviates from l*scale")
-    return point_angle(dx, dy)
+    return dx, dy
 
 
-def angle_of_state(params: CurveParams, state: PoolState) -> FixedDecimal:
-    """Current polar angle of a two-token state, from cache or geometry."""
-    if state.angle_deg is not None:
-        return state.angle_deg
-    x, y = state.reserves
-    return cartesian_to_polar(params, x, y, state.liquidity_scale)
+def cartesian_to_polar(params: CurveParams, x: FixedDecimal, y: FixedDecimal,
+                       scale: FixedDecimal = ONE) -> FixedDecimal:
+    """Angle in degrees of an on-curve reserve point (see :func:`arc_point`)."""
+    return point_angle(*arc_point(params, x, y, scale))
 
 
 def polar_swap_delta_y(params: CurveParams, x_in: FixedDecimal) -> FixedDecimal:

@@ -15,24 +15,33 @@ circle at the same angle, which keeps the marginal price (cot of the
 angle) continuous across the crossing. The walk always moves the angle
 up: selling token 1 of a two-token pool is the same walk in the mirror
 angle 90 - phi, on the ledger's mirrored index. The walk searches the
-index once, for the segment that holds its start angle, and then moves a
+index once, for the segment that holds its start, and then moves a
 cursor one segment up at each boundary it reaches, the way Uniswap v3
 steps from tick to next initialized tick.
 
 The walk carries the point, not the angle: (x, y) = R (cos phi, sin phi),
 the in- and out-reserves' distances below the centre of a circle of
-radius R. Selling d moves x to x - d exactly, and y follows from one
-correctly rounded square root of R^2 - x^2. Every pool walks its pair
-circle: for two tokens that is the pool's own circle, and a pool with
-more tokens holds its other reserves fixed. The start point comes from
-the reserves. A boundary's (cos, sin) comes from the process-wide table
-``polar.boundary_cos_sin``, shared by every ledger and filled one angle
-at a time on first use; it evaluates sin and cos only at angles of at
-most 45 degrees and swaps the pair of 90 - b for an angle b above, so
-both trade directions read the same values. The angle in degrees serves
-only as the ledger's search key and as output: a trade takes one atan2,
-``polar.point_angle`` of the point where it ends inside a segment (n > 2
-pools take one more, for the start angle of the pair-circle point).
+radius R, as Python ints in raw units. Selling d moves x to x - d
+exactly, and y follows from one correctly rounded square root of
+R^2 - x^2. Every pool walks its pair circle: for two tokens that is the
+pool's own circle, and a pool with more tokens holds its other reserves
+fixed. The start point comes from the reserves. A boundary's (cos, sin)
+comes from the process-wide table ``polar.boundary_cos_sin``, shared by
+every ledger and filled one angle at a time on first use; it evaluates
+sin and cos only at angles of at most 45 degrees and swaps the pair of
+90 - b for an angle b above, so both trade directions read the same
+values. Values become ``FixedDecimal`` only in the results, and the walk
+raises RangeError exactly where a wrap of each step's value would.
+
+A trade forms no angle. A two-token state's cached angle keys its start
+segment; any other state's point does, since phi >= b exactly when
+x * 10^18 <= R cos b on integers, one bisect over the boundary cosines
+of the index. A walk that lands on a boundary commits its exact angle;
+one that ends inside a segment commits none, so the next trade finds the
+segment from the point, unless the point lies a hair below the
+segment's start, where it commits that start's angle. Degrees are
+formed, correctly rounded, only when a result's angles are read: the
+quote's final angle, the segment trace and the angle a pool file keeps.
 
 ``route_swap`` is the one entry point for a trade on any route: it
 quotes on the Cartesian, polar or tick route and returns the committed
@@ -46,6 +55,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -55,23 +65,21 @@ from .errors import (
     ValidationError,
 )
 from .fixed import (
+    MAX_RAW,
+    WAD,
     FixedDecimal,
     ONE,
     ZERO,
+    _div,
+    _isqrt_diff_squares,
+    _range_error,
+    _round_div,
     fp_add,
-    fp_div,
     fp_mul,
-    fp_sqrt_diff_squares,
     fp_sub,
 )
 from .invariant import CurveParams, PoolState, invariant_residual, token_pair
-from .polar import (
-    NINETY,
-    angle_of_state,
-    angle_to_price,
-    boundary_cos_sin,
-    point_angle,
-)
+from .polar import NINETY, angle_to_price, arc_point, boundary_cos_sin, point_angle
 from .swap import SwapQuote, commit, effective_pair_circle, pair_swap
 
 _NINETY_RAW = NINETY.raw
@@ -116,6 +124,34 @@ class LpPosition:
 
 
 @dataclass(frozen=True)
+class SegmentIndex:
+    """A ledger's segments in one walk orientation, in raw units.
+
+    ``raws`` are the sorted boundary angles and ``totals[k]`` the liquidity
+    from ``raws[k]`` up to the next boundary.
+    """
+
+    raws: tuple[int, ...]
+    totals: tuple[int, ...]
+
+    @cached_property
+    def neg_cosines(self) -> tuple[int, ...]:
+        """Minus each boundary's cosine from ``boundary_cos_sin``: ascending,
+        as bisect needs. Built on the first search from a point, so a walk
+        keyed by a cached angle evaluates no boundary it does not reach."""
+        return tuple(-boundary_cos_sin(raw)[0].raw for raw in self.raws)
+
+    def point_segment(self, x: int, radius: int) -> int:
+        """The cursor of the point R (cos phi, sin phi) with x = R cos phi.
+
+        That is the number of boundaries b with phi >= b, decided on
+        integers as x * 10^18 <= R cos b: one bisect, and no angle. A
+        point with x >= R counts as angle 0.
+        """
+        return bisect_right(self.neg_cosines, -min(x, radius) * WAD // radius)
+
+
+@dataclass(frozen=True)
 class TickLedger:
     """All registered positions on one grid.
 
@@ -138,7 +174,7 @@ class TickLedger:
                 raise ValidationError(f"duplicate position id {p.id!r}")
             ids.add(p.id)
             has_short = has_short or p.side == "short"
-        if has_short and any(total.raw < 0 for total in self.index[1]):
+        if has_short and any(total < 0 for total in self.index.totals):
             raise ValidationError("short liquidity exceeds long liquidity")
 
     def position(self, position_id: str) -> LpPosition:
@@ -148,8 +184,8 @@ class TickLedger:
         raise NotFoundError(position_id)
 
     @cached_property
-    def index(self) -> tuple[tuple[int, ...], tuple[FixedDecimal, ...]]:
-        """Sorted raw boundary angles and the aggregate liquidity from each up.
+    def index(self) -> SegmentIndex:
+        """The segments seen from token 0, in the canonical angle.
 
         Boundaries whose signed deltas cancel are left out. Built on first
         use; not a field, so equality and the pool-file format ignore it.
@@ -164,32 +200,32 @@ class TickLedger:
             if not deltas[raw].is_zero():
                 total = fp_add(total, deltas[raw])
                 raws.append(raw)
-                totals.append(total)
-        return tuple(raws), tuple(totals)
+                totals.append(total.raw)
+        return SegmentIndex(tuple(raws), tuple(totals))
 
     @cached_property
-    def mirrored_index(self) -> tuple[tuple[int, ...], tuple[FixedDecimal, ...]]:
-        """The index seen from token 1, in the mirror angle 90 - phi.
+    def mirrored_index(self) -> SegmentIndex:
+        """The segments seen from token 1, in the mirror angle 90 - phi.
 
         A boundary at b moves to 90 - b, and the liquidity just above it
         there is the canonical liquidity just below b: the same prefix
         sums, reversed and shifted by one boundary.
         """
-        raws, totals = self.index
-        below = ((ZERO,) + totals)[:-1]
-        return tuple(_NINETY_RAW - raw for raw in reversed(raws)), below[::-1]
+        raws, totals = self.index.raws, self.index.totals
+        below = ((0,) + totals)[:-1]
+        return SegmentIndex(tuple(_NINETY_RAW - raw for raw in reversed(raws)), below[::-1])
 
 
 def active_liquidity(ledger: TickLedger, angle_deg: FixedDecimal) -> FixedDecimal:
     """Aggregate liquidity at an angle (sum over containing positions)."""
     if angle_deg < ZERO or angle_deg > NINETY:
         raise DomainError("angle outside [0, 90] degrees")
-    raws, totals = ledger.index
-    k = bisect_right(raws, angle_deg.raw)
-    total = totals[k - 1] if k else ZERO
-    if total < ZERO:
+    index = ledger.index
+    k = bisect_right(index.raws, angle_deg.raw)
+    total = index.totals[k - 1] if k else 0
+    if total < 0:
         raise NumericError("negative aggregate liquidity in the ledger")
-    return total
+    return FixedDecimal.from_raw(total)
 
 
 def add_position(ledger: TickLedger, position: LpPosition) -> TickLedger:
@@ -225,24 +261,112 @@ def tick_width_in_price(grid: TickGrid, tick_index: int):
     return price_lo, price_hi
 
 
+class _Point(NamedTuple):
+    """A walk point R (cos phi, sin phi) = (x, y), in raw units, inside the
+    open segment (lo, hi) of raw walk angles; a bound is None where the
+    segment has no boundary on that side."""
+
+    x: int
+    y: int
+    lo: int | None
+    hi: int | None
+
+
+def _degrees(mark: int | _Point, mirrored: bool) -> FixedDecimal:
+    """A place on the walk as a canonical angle in degrees.
+
+    The place is an exact raw walk angle (a boundary, or a cached angle) or
+    a ``_Point``, whose angle is formed here, correctly rounded, and clamped
+    into its open segment: a boundary belongs to the segment above it in
+    either walk orientation, so an angle strictly inside keys the same
+    segment from both tokens.
+    """
+    if isinstance(mark, _Point):
+        raw = point_angle(FixedDecimal.from_raw(mark.x), FixedDecimal.from_raw(mark.y)).raw
+        if mark.lo is not None:
+            raw = max(raw, mark.lo + 1)
+        if mark.hi is not None:
+            raw = min(raw, mark.hi - 1)
+        mark = raw
+    return FixedDecimal.from_raw(_NINETY_RAW - mark if mirrored else mark)
+
+
 @dataclass(frozen=True)
 class SegmentFill:
-    """One constant-liquidity stretch of a tick-crossing swap."""
+    """One constant-liquidity stretch of a tick-crossing swap.
+
+    ``start`` and ``end`` are the places on the walk where it starts and
+    ends (see ``_degrees``); its angles are formed when read.
+    """
 
     index: int
-    angle_from_deg: FixedDecimal
-    angle_to_deg: FixedDecimal
     liquidity: FixedDecimal
     delta_in: FixedDecimal
     delta_out: FixedDecimal
+    start: int | _Point
+    end: int | _Point
+    mirrored: bool
+
+    @property
+    def angle_from_deg(self) -> FixedDecimal:
+        return _degrees(self.start, self.mirrored)
+
+    @property
+    def angle_to_deg(self) -> FixedDecimal:
+        return _degrees(self.end, self.mirrored)
 
 
 @dataclass(frozen=True)
 class TickSwapResult:
+    """A tick swap's quote, segments and the circle it ends on.
+
+    ``fills`` holds each segment as raw ``(liquidity, delta_in, delta_out,
+    start, end)``; ``segments`` wraps them when first read. ``end`` is the
+    place where the walk ends (see ``_degrees``): an exact angle where it
+    lands on a boundary, ends a hair below its last segment's start or
+    trades nothing from a cached angle, and otherwise its end point.
+    """
+
     quote: SwapQuote
-    segments: tuple[SegmentFill, ...]
-    final_angle_deg: FixedDecimal
     final_liquidity: FixedDecimal
+    fills: tuple[tuple[int, int, int, int | _Point, int | _Point], ...]
+    end: int | _Point
+    mirrored: bool
+
+    @cached_property
+    def segments(self) -> tuple[SegmentFill, ...]:
+        # every value was range-checked in the walk, so no wrap here raises
+        wrap = FixedDecimal.from_raw
+        return tuple(
+            SegmentFill(index=k, liquidity=wrap(liquidity), delta_in=wrap(step),
+                        delta_out=wrap(out), start=start, end=end, mirrored=self.mirrored)
+            for k, (liquidity, step, out, start, end) in enumerate(self.fills))
+
+    @cached_property
+    def final_angle_deg(self) -> FixedDecimal:
+        """The angle where the walk ends, formed on first read."""
+        return _degrees(self.end, self.mirrored)
+
+
+def _reanchor(params: CurveParams, reserves, scale: int, i: int, j: int,
+              x: int, y: int, circle: int) -> tuple[int, int, int, int]:
+    """The raw point (x, y) of a circle of radius ``circle`` moved to the same
+    angle on the pair circle at ``scale``: (offset, radius, x', y')."""
+    if params.n == 2:
+        # the pool's own circle, as effective_pair_circle gives it
+        offset = radius = _round_div(params.l.raw * scale, WAD)
+        if offset > MAX_RAW:
+            raise _range_error()
+    else:
+        offset, radius = (v.raw for v in effective_pair_circle(
+            params, reserves, FixedDecimal.from_raw(scale), i, j))
+    # v * radius / circle, rounded after the product and after the quotient,
+    # either of which overflows where its wrap did
+    px, py = _round_div(x * radius, WAD), _round_div(y * radius, WAD)
+    qx, qy = _round_div(px * WAD, circle), _round_div(py * WAD, circle)
+    if max(abs(px), abs(py), abs(qx), abs(qy)) > MAX_RAW:
+        raise _range_error()
+    return offset, radius, qx, qy
 
 
 def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
@@ -266,124 +390,143 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
     # the sine axis, so selling always moves the angle up. Ledger angles
     # are canonical (token 0 in); selling token 1 walks the mirror image.
     mirrored = params.n == 2 and i == 1
-    raws, totals = ledger.mirrored_index if mirrored else ledger.index
+    index = ledger.mirrored_index if mirrored else ledger.index
+    raws, totals = index.raws, index.totals
     if params.n > 2 and any(raw not in (0, _NINETY_RAW) for raw in raws):
         raise ValidationError(
             "tick crossings are two-token only; n-dim pools need a uniform ledger"
         )
 
-    def canonical(angle: FixedDecimal) -> FixedDecimal:
-        # the mirror is its own inverse, so this maps both ways
-        return fp_sub(NINETY, angle) if mirrored else angle
+    # the point (x, y) = circle * (cos phi, sin phi) in walk orientation, in
+    # raw units on the pair circle, which for two tokens is the pool's own
+    # circle. A two-token state's cached angle keys its segment; any other
+    # state must lie on its arc, and its point is the key
+    reserves = state.reserves
+    offset, circle = effective_pair_circle(params, reserves, state.liquidity_scale, i, j)
+    cached = state.angle_deg if params.n == 2 else None
+    if cached is None and params.n == 2:
+        x, y = (v.raw for v in arc_point(params, reserves[i], reserves[j],
+                                         state.liquidity_scale))
+    else:
+        x, y = offset.raw - reserves[i].raw, offset.raw - reserves[j].raw
+    offset, circle, scale = offset.raw, circle.raw, state.liquidity_scale.raw
 
-    # the point (x, y) = circle * (cos phi, sin phi) in walk orientation,
-    # on the pair circle, which for two tokens is the pool's own circle
-    reserves = list(state.reserves)
-    scale = state.liquidity_scale
-    offset, circle = effective_pair_circle(params, reserves, scale, i, j)
-    x, y = fp_sub(offset, reserves[i]), fp_sub(offset, reserves[j])
-    phi = canonical(angle_of_state(params, state)) if params.n == 2 else point_angle(x, y)
-
-    def reanchor(scale):
-        # the point at the same angle on the pair circle at another scale
-        offset, radius = effective_pair_circle(params, reserves, scale, i, j)
-        return (offset, radius,
-                fp_div(fp_mul(x, radius), circle), fp_div(fp_mul(y, radius), circle))
+    # the cursor: segment k - 1 holds the start and raws[k] is the next stop;
+    # ``here`` is the place the current segment starts from
+    if cached is None:
+        k = index.point_segment(x, circle)
+        here = _Point(x, y, raws[k - 1] if k else None, raws[k] if k < len(raws) else None)
+        at_end = x <= 0
+    else:
+        here = (fp_sub(NINETY, cached) if mirrored else cached).raw
+        # a state committed a hair before the start of the walk, where a
+        # trade that exhausted the arc left it, trades on the first segment
+        k = bisect_right(raws, max(here, 0))
+        at_end = here >= _NINETY_RAW
 
     x_0, y_0 = x, y
-    remaining = delta_in
-    filled_in = ZERO
-    filled_out = ZERO
-    segments: list[SegmentFill] = []
-    # the cursor: segment k - 1 holds phi and raws[k] is the next stop. A
-    # state committed a hair before the start of the walk, where a trade
-    # that exhausted the arc left it, trades on the first segment
-    k = bisect_right(raws, max(phi.raw, 0))
+    remaining = delta_in.raw
+    filled_out = 0
+    fills = []
     # a zero trade is the zero quote: no segment, so no rounded root
-    while remaining > ZERO:
-        if phi.raw >= _NINETY_RAW:
+    while remaining > 0:
+        if at_end:
             raise InsufficientLiquidityError(
                 "ran out of liquidity at the arc end",
-                filled_in=filled_in, filled_out=filled_out,
-                boundary_angle_deg=canonical(NINETY),
+                filled_in=FixedDecimal.from_raw(delta_in.raw - remaining),
+                filled_out=FixedDecimal.from_raw(filled_out),
+                boundary_angle_deg=_degrees(_NINETY_RAW, mirrored),
             )
-        active = totals[k - 1] if k else ZERO
-        if active <= ZERO:
+        active = totals[k - 1] if k else 0
+        if active <= 0:
             raise InsufficientLiquidityError(
                 "ran out of liquidity at a dead segment",
-                filled_in=filled_in, filled_out=filled_out,
-                boundary_angle_deg=canonical(phi),
+                filled_in=FixedDecimal.from_raw(delta_in.raw - remaining),
+                filled_out=FixedDecimal.from_raw(filled_out),
+                boundary_angle_deg=_degrees(here, mirrored),
             )
         if active != scale:
             scale = active
-            offset, circle, x, y = reanchor(scale)
+            offset, circle, x, y = _reanchor(params, reserves, scale, i, j, x, y, circle)
 
         # every position's deltas sum to zero, so no liquidity lies above
         # the last boundary and a live segment always has one above it
-        stop = FixedDecimal.from_raw(raws[k])
-        cos_stop, sin_stop = boundary_cos_sin(stop.raw)
-        x_stop = fp_mul(circle, cos_stop)
-        capacity = fp_sub(x, x_stop)
+        stop = raws[k]
+        cos_stop, sin_stop = boundary_cos_sin(stop)
+        x_stop = _round_div(circle * cos_stop.raw, WAD)
+        capacity = x - x_stop
 
         if remaining < capacity:
-            step, x_end = remaining, fp_sub(x, remaining)
-            y_end = fp_sqrt_diff_squares(circle, x_end)
-            # rounding in the angle must not move it back or out of the segment
-            end = min(max(point_angle(x_end, y_end), phi), stop)
+            # the trade ends inside the segment, where no angle is formed;
+            # a point a hair below the segment's start, where a re-anchor
+            # can leave it, would key the segment below, so it ends on that
+            # start's exact angle
+            step, x_end = remaining, x - remaining
+            y_end = _isqrt_diff_squares(circle, x_end)
+            lo = raws[k - 1]
+            if x_end * WAD <= circle * boundary_cos_sin(lo)[0].raw:
+                end = _Point(x_end, y_end, lo, stop)
+            else:
+                end = lo
         else:
             # the segment fills: land on its boundary
-            step, x_end, y_end, end = capacity, x_stop, fp_mul(circle, sin_stop), stop
-        out = fp_sub(y_end, y)
-        segments.append(SegmentFill(
-            index=len(segments),
-            angle_from_deg=canonical(phi),
-            angle_to_deg=canonical(end),
-            liquidity=scale,
-            delta_in=step,
-            delta_out=out,
-        ))
-        filled_in = fp_add(filled_in, step)
-        filled_out = fp_add(filled_out, out)
-        remaining = fp_sub(remaining, step)
-        phi, x, y = end, x_end, y_end
-        if end == stop:
+            step, x_end, end = capacity, x_stop, stop
+            y_end = _round_div(circle * sin_stop.raw, WAD)
             k += 1
+            at_end = stop == _NINETY_RAW
+        out = y_end - y
+        remaining -= step
+        filled_out += out
+        # the values of this step whose wraps could overflow, for a state off
+        # its arc or circles at the edge of the range, raise as they did
+        if capacity < -MAX_RAW or out > MAX_RAW or remaining > MAX_RAW \
+                or abs(filled_out) > MAX_RAW:
+            raise _range_error()
+        fills.append((scale, step, out, here, end))
+        here, x, y = end, x_end, y_end
 
-    # the cursor's segment holds the final angle: a walk that ends on a
-    # boundary goes on from the circle above it, unless that arc is empty
-    if segments and ZERO < totals[k - 1] != scale:
+    # the cursor's segment holds the end: a walk that ends on a boundary
+    # goes on from the circle above it, unless that arc is empty
+    if fills and 0 < totals[k - 1] != scale:
         scale = totals[k - 1]
-        offset, circle, x, y = reanchor(scale)
-    reserves[i] = fp_sub(offset, x)
-    reserves[j] = fp_sub(offset, y)
+        offset, circle, x, y = _reanchor(params, reserves, scale, i, j, x, y, circle)
+    new_reserves = list(reserves)
+    new_reserves[i] = FixedDecimal.from_raw(offset - x)
+    new_reserves[j] = FixedDecimal.from_raw(offset - y)
 
     # prices are the scale-free cotangent of the trade angle
-    if y.is_zero() or y_0.is_zero():
+    if y == 0 or y_0 == 0:
         raise NumericError("price undefined at the arc endpoint")
 
     quote = SwapQuote(
         token_in=i,
         token_out=j,
-        amount_in=filled_in,
-        amount_out=filled_out,
-        price_before=fp_div(x_0, y_0),
-        price_after=fp_div(x, y),
-        new_reserves=tuple(reserves),
+        amount_in=FixedDecimal.from_raw(delta_in.raw - remaining),
+        amount_out=FixedDecimal.from_raw(filled_out),
+        price_before=FixedDecimal.from_raw(_div(x_0, y_0)),
+        price_after=FixedDecimal.from_raw(_div(x, y)),
+        new_reserves=tuple(new_reserves),
     )
     return TickSwapResult(
         quote=quote,
-        segments=tuple(segments),
-        final_angle_deg=canonical(phi),
-        final_liquidity=scale,
+        final_liquidity=FixedDecimal.from_raw(scale),
+        fills=tuple(fills),
+        end=here,
+        mirrored=mirrored,
     )
 
 
 def commit_tick_swap(state: PoolState, result: TickSwapResult) -> PoolState:
-    """Apply a tick swap: reserves, scale, and cached angle."""
+    """Apply a tick swap: reserves, scale, and an exact end angle.
+
+    A walk that ends on a boundary, or trades nothing from a cached angle,
+    caches that angle; one that ends inside a segment caches none, and the
+    next walk finds the segment from the reserves.
+    """
     return PoolState(
         reserves=result.quote.new_reserves,
         liquidity_scale=result.final_liquidity,
-        angle_deg=result.final_angle_deg,
+        angle_deg=None if isinstance(result.end, _Point) else result.final_angle_deg,
     )
 
 

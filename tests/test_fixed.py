@@ -391,6 +391,16 @@ class TestCorrectRounding:
         with mpmath.workdps(60):
             assert_correctly_rounded(fp_atan2(y, x), mpmath.atan2(to_mp(y), to_mp(x)))
 
+    @given(signed(spread_raws(1, 38)), signed(spread_raws(1, 38)))
+    @settings(max_examples=300)
+    def test_atan2_degrees(self, y_raw, x_raw):
+        # one rounding, from the working scale: 180 / pi rounded to the grid
+        # first would put the angle up to 41 quanta off
+        y, x = F.from_raw(y_raw), F.from_raw(x_raw)
+        with mpmath.workdps(60):
+            assert_correctly_rounded(fp_atan2(y, x, degrees=True),
+                                     mpmath.degrees(mpmath.atan2(to_mp(y), to_mp(x))))
+
     @given(spread_raws(1, 38))
     @settings(max_examples=300)
     def test_ln(self, raw):

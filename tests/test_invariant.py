@@ -1,9 +1,13 @@
 """Invariant evaluation against closed forms and a 40-digit oracle."""
 
+from fractions import Fraction
+
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarpool.errors import DomainError, ShapeError, ValidationError
+from polarpool.errors import DomainError, RangeError, ShapeError, ValidationError
 from polarpool.fixed import FixedDecimal, ONE, TWO, WAD, ZERO, fp_div
 from polarpool.invariant import (
     CurveParams,
@@ -24,7 +28,7 @@ from polarpool.invariant import (
 from polarpool.poolfile import PoolFile, dumps, loads
 from polarpool.swap import y_of_x
 from polarpool.ticks import TickLedger
-from reference import to_mp
+from reference import spread_raws, to_mp
 
 F = FixedDecimal
 L = default_offset()
@@ -68,6 +72,49 @@ class TestCcmmResidual:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             ccmm_residual(CurveParams(n=3), (ONE, ONE))
+
+    @staticmethod
+    def wrapped_residual(l_raw, scale_raw, raws):
+        """The residual as a chain of FixedDecimal operations computes it: each
+        square rounded half-even, and RangeError where any value of the
+        chain (offset, difference, square, partial sum) passes 1e20."""
+        def grid(value):
+            raw = round(value)  # Fraction rounds half to even
+            if abs(raw) > 10 ** 38:
+                raise RangeError
+            return raw
+
+        offset = grid(Fraction(l_raw * scale_raw, WAD))
+        total = 0
+        for raw in raws:
+            d = grid(raw - offset)
+            total = grid(total + grid(Fraction(d * d, WAD)))
+        return grid(total - grid(Fraction(offset * offset, WAD)))
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.lists(spread_raws(1, 38), min_size=n, max_size=n), spread_raws(1, 38))))
+    @settings(max_examples=300)
+    def test_integer_sum_is_bit_identical(self, case):
+        raws, scale_raw = case
+        params = CurveParams(n=len(raws))
+        reserves = tuple(F.from_raw(raw) for raw in raws)
+        try:
+            want = self.wrapped_residual(params.l.raw, scale_raw, raws)
+        except RangeError:
+            with pytest.raises(RangeError):
+                ccmm_residual(params, reserves, F.from_raw(scale_raw))
+            return
+        assert ccmm_residual(params, reserves, F.from_raw(scale_raw)).raw == want
+
+    def test_overflow_edge(self):
+        # one square of exactly 1e20 sums to the largest value; a second
+        # square of one quantum passes it
+        p = CurveParams(n=2)
+        offset = p.l.raw
+        edge = (F.from_raw(offset + 10 ** 28), F.from_raw(offset))
+        assert ccmm_residual(p, edge).raw == 10 ** 38 - round(Fraction(offset ** 2, WAD))
+        with pytest.raises(RangeError):
+            ccmm_residual(p, (edge[0], F.from_raw(offset + 10 ** 9)))
 
 
 class TestCsemmResidual:

@@ -13,11 +13,12 @@ from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sub
 from polarpool.invariant import CurveParams, PoolState, ccmm_residual
 from polarpool.polar import (
     NINETY,
-    angle_of_state,
     angle_to_price,
     arbitrage_point,
+    arc_point,
     boundary_cos_sin,
     cartesian_to_polar,
+    point_angle,
     polar_swap_delta_y,
     price_to_angle,
     reserves_at_angle,
@@ -197,11 +198,14 @@ class TestPathEquivalence:
     def test_angle_cache_matches_geometry(self):
         q = polar_quote(CIRCLE, UNIT_STATE, 0, ONE)
         state = UNIT_STATE.with_reserves(q.new_reserves)
-        geometric = angle_of_state(CIRCLE, state)
-        # the quote's cached angle is attached by the tick layer; here we
-        # just confirm geometry recovers a consistent angle
+        # a committed quote clears the cached angle, and geometry recovers
+        # one consistent with the reserves
+        assert state.angle_deg is None
         x, y = q.new_reserves
-        assert abs(geometric.raw - cartesian_to_polar(CIRCLE, x, y).raw) <= 100
+        geometric = cartesian_to_polar(CIRCLE, x, y, state.liquidity_scale)
+        assert geometric == point_angle(*arc_point(CIRCLE, x, y))
+        for got, want in zip(reserves_at_angle(CIRCLE, geometric), (x, y)):
+            assert abs(got.raw - want.raw) <= 100
 
     @given(
         spread_raws(13, 20).filter(lambda raw: raw < NINETY.raw),

@@ -393,7 +393,6 @@ class TestKnownDefects:
                     assert pool_path.read_bytes() == before
         capsys.readouterr()
 
-    @known_defect(3, "point_angle rounds twice after fp_atan2", AssertionError)
     def test_diagonal_point_is_at_45(self, tmp_path, capsys):
         assert point_angle(ONE, ONE) == F(45)
         assert point_angle(F(3), F(3)) == F(45)

@@ -14,12 +14,14 @@ from polarpool.errors import (
     EngineError,
     InsufficientLiquidityError,
     NotFoundError,
+    RangeError,
     ValidationError,
 )
 from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sub
 from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
 from polarpool.polar import NINETY, reserves_at_angle
 from polarpool.swap import pair_swap
+import polarpool.fixed
 import polarpool.polar
 import polarpool.ticks
 from polarpool.ticks import (
@@ -29,7 +31,9 @@ from polarpool.ticks import (
     active_liquidity,
     add_position,
     commit_tick_swap,
+    gen_trades,
     remove_position,
+    replay,
     route_swap,
     swap_across_ticks,
     tick_width_in_price,
@@ -237,7 +241,7 @@ class TestSwapAcrossTicks:
         mid = commit_tick_swap(state, fwd)
         back = swap_across_ticks(CIRCLE, ledger, mid, 1, fwd.quote.amount_out)
         final = commit_tick_swap(mid, back)
-        assert abs(final.angle_deg.raw - 45 * WAD) <= 10 ** 9
+        assert abs(back.final_angle_deg.raw - 45 * WAD) <= 10 ** 9
         assert abs(final.reserves[0].raw - x.raw) <= 10 ** 9
         assert abs(final.reserves[1].raw - y.raw) <= 10 ** 9
 
@@ -379,7 +383,7 @@ class TestMirrorSymmetry:
 
 
 class TestCarriedPairKernel:
-    """The walk carries R (cos, sin): one atan2 per trade, boundary pairs cached."""
+    """The walk carries R (cos, sin): no atan2 in a trade, boundary pairs cached."""
 
     @staticmethod
     def uniform_trade(scale_raw, angle_raw, token_in, share_raw):
@@ -438,10 +442,11 @@ class TestCarriedPairKernel:
 
     @staticmethod
     def assert_angle_of_point(params, result, i, j):
-        # the reported end angle against the 60-digit angle of the committed
-        # point, in walk orientation (token i on the cosine axis). The walk
-        # never reports an angle below its start: a trade too small to outrun
-        # the rounding of the start point can leave the point a hair behind it
+        # the reported end angle is the 60-digit angle of the committed
+        # point, in walk orientation (token i on the cosine axis), correctly
+        # rounded and clamped into the open segment; on a full-range ledger
+        # that is (0, 90). A trade too small to outrun the rounding of the
+        # start point can leave the point a hair behind the start
         mirrored = params.n == 2 and i == 1
 
         def walk(angle):
@@ -452,8 +457,8 @@ class TestCarriedPairKernel:
         y = fp_sub(offset, result.quote.new_reserves[j])
         with mpmath.workdps(60):
             exact = mpmath.degrees(mpmath.atan2(y.raw, x.raw)) * WAD
-            want = max(exact, walk(result.segments[0].angle_from_deg))
-            assert abs(walk(result.final_angle_deg) - want) <= 50
+            want = min(max(exact, 1), NINETY.raw - 1)
+            assert abs(walk(result.final_angle_deg) - want) <= 0.5 + 1e-6
 
     @given(
         st.integers(10 ** 16, 10 ** 20),
@@ -544,20 +549,24 @@ class TestCarriedPairKernel:
         for name in counts:
             fn = getattr(polarpool.polar, name)
 
-            def counted(*args, _fn=fn, _name=name):
+            def counted(*args, _fn=fn, _name=name, **kwargs):
                 counts[_name] += 1
-                return _fn(*args)
+                return _fn(*args, **kwargs)
 
             monkeypatch.setattr(polarpool.polar, name, counted)
         return counts
 
-    def test_one_segment_trade_takes_one_atan2(self, calls):
+    def test_one_segment_trade_takes_no_atan2(self, calls):
         ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, F(5)))
         x, y = reserves_at_angle(CIRCLE, F(45), F(5))
         state = PoolState(reserves=(x, y), liquidity_scale=F(5), angle_deg=F(45))
         for token_in in (0, 1):
             calls.update(fp_sin_cos=0, fp_atan2=0)
-            swap_across_ticks(CIRCLE, ledger, state, token_in, ONE)
+            result = swap_across_ticks(CIRCLE, ledger, state, token_in, ONE)
+            assert calls == {"fp_sin_cos": 0, "fp_atan2": 0}
+            # the end angle is formed when read, once
+            result.final_angle_deg
+            result.final_angle_deg
             assert calls == {"fp_sin_cos": 0, "fp_atan2": 1}
 
     def test_boundary_pairs_computed_once_per_ledger(self, calls):
@@ -579,16 +588,45 @@ class TestCarriedPairKernel:
         crossed = len(result.segments) - 1
         assert crossed == 5 and result.segments[-1].angle_from_deg == F(50)
         assert calls["fp_sin_cos"] <= crossed
-        assert calls["fp_atan2"] == 1
+        assert calls["fp_atan2"] == 0
         calls.update(fp_sin_cos=0, fp_atan2=0)
         again = swap_across_ticks(CIRCLE, ledger, state, 0, F(6))
         assert again == result
-        assert calls == {"fp_sin_cos": 0, "fp_atan2": 1}
+        assert calls == {"fp_sin_cos": 0, "fp_atan2": 0}
         # a fresh ledger with the same boundaries reads the same table
         calls.update(fp_sin_cos=0, fp_atan2=0)
         fresh = swap_across_ticks(CIRCLE, build(), state, 0, F(6))
         assert fresh == result
-        assert calls == {"fp_sin_cos": 0, "fp_atan2": 1}
+        assert calls == {"fp_sin_cos": 0, "fp_atan2": 0}
+
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_replay_forms_no_angle(self, monkeypatch, n):
+        # every atan2, in radians or degrees, runs fixed._angle
+        params = CurveParams(n=n)
+        reserves = (ONE,) * n
+        scale = solve_ccmm_scale(params, reserves)
+        angle = F(45) if n == 2 else None
+        state = PoolState(reserves=reserves, liquidity_scale=scale, angle_deg=angle)
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, scale))
+        trades = gen_trades(params, ledger, state, 20, seed=5)
+        assert len(trades) == 20
+        calls = []
+        angle_kernel = polarpool.fixed._angle
+        monkeypatch.setattr(polarpool.fixed, "_angle",
+                            lambda *args: calls.append(args) or angle_kernel(*args))
+        rows, final, _, halted = replay(params, ledger, state, trades)
+        assert halted is None and len(rows) == 20
+        assert final.angle_deg is None
+        assert calls == []
+
+    def test_uncached_off_curve_state_refused(self):
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, ONE))
+        for reserves in ((ONE, F("1.5")), (ONE, F("0.5"))):
+            state = PoolState(reserves=reserves)
+            for token_in in (0, 1):
+                with pytest.raises(DomainError, match="off-curve point"):
+                    swap_across_ticks(CIRCLE, ledger, state, token_in, F("0.1"))
 
 
 class TestSegmentCursor:
@@ -646,10 +684,11 @@ class TestSegmentCursor:
                                      token_in, F("0.1"))
         assert result.quote == uncached.quote
 
-    def test_end_rounded_onto_the_stop_moves_the_cursor(self):
-        # a trade a quantum short of the boundary ends inside the segment,
-        # but its rounded end angle clamps onto the boundary; the pool then
-        # goes on from the circle above it, as after an exact fill
+    def test_end_a_quantum_short_of_the_stop_stays_below_it(self):
+        # a trade a quantum short of the boundary ends inside the segment:
+        # it stays on the lower circle and reports an angle below the stop,
+        # while the exact fill lands on the stop with the upper circle's
+        # liquidity
         ledger = add_position(TickLedger(grid=TickGrid(spacing_deg=F("0.5"))),
                               LpPosition("base", ZERO, NINETY, F(10)))
         ledger = add_position(ledger, LpPosition("step", F(45), F("45.5"), F(2)))
@@ -659,5 +698,123 @@ class TestSegmentCursor:
         capacity = swap_across_ticks(CIRCLE, ledger, state, 0, F("0.5")).segments[0].delta_in
         short = swap_across_ticks(CIRCLE, ledger, state, 0, capacity - F.from_raw(1))
         assert len(short.segments) == 1
-        assert short.final_angle_deg == F(45)
-        assert short.final_liquidity == F(12)
+        assert short.final_liquidity == F(10)
+        assert start < short.final_angle_deg < F(45)
+        assert commit_tick_swap(state, short).angle_deg is None
+        exact = swap_across_ticks(CIRCLE, ledger, state, 0, capacity)
+        assert len(exact.segments) == 1
+        assert exact.final_liquidity == F(12)
+        assert exact.final_angle_deg == F(45)
+        assert commit_tick_swap(state, exact).angle_deg == F(45)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 179), st.integers(1, 40),
+                           st.integers(10 ** 15, 10 ** 19)), min_size=1, max_size=12),
+        st.integers(1, 179 * 10 ** 6 - 1),
+        st.sampled_from([0, 1]),
+        st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 18)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_next_trade_starts_where_the_walk_ends(self, spans, where, token_in,
+                                                   share_raw):
+        # seeded ladders over a full-range base, walked from either token:
+        # the next trade from the committed state starts in the walk's final
+        # segment, from the reserves or from the angle a pool file would keep
+        ledger = add_position(TickLedger(grid=TickGrid(spacing_deg=F("0.5"))),
+                              LpPosition("base", ZERO, NINETY, ONE))
+        half = WAD // 2
+        for k, (lo, span, liq_raw) in enumerate(spans):
+            hi = min(180, lo + span)
+            ledger = add_position(ledger, LpPosition(
+                f"h{k}", F.from_raw(lo * half), F.from_raw(hi * half), F.from_raw(liq_raw)))
+        state = parked_state(ledger, F.from_raw(where * half // 10 ** 6))
+        room = fp_sub(fp_mul(CIRCLE.l, state.liquidity_scale), state.reserves[token_in])
+        result = tick_outcome(ledger, state, token_in,
+                              F.from_raw(max(1, room.raw * share_raw // WAD)))
+        assume(not isinstance(result, EngineError))
+        index = ledger.mirrored_index if token_in == 1 else ledger.index
+
+        def walk(angle):
+            return (NINETY - angle if token_in == 1 else angle).raw
+
+        # an exact end angle keys its segment; a formed one lies strictly
+        # inside. A walk that lands where liquidity ends stays on the circle
+        # below
+        cursor = bisect.bisect_right(index.raws, walk(result.final_angle_deg))
+        live = index.totals[cursor - 1] if cursor else 0
+        assert result.final_liquidity.raw == live or live == 0
+        committed = commit_tick_swap(state, result)
+        saved = replace(committed, angle_deg=result.final_angle_deg)
+        for start in (committed, saved):
+            after = tick_outcome(ledger, start, token_in, F.from_raw(1))
+            if isinstance(after, EngineError):
+                # the walk ended where liquidity ends
+                assert after.filled_in == ZERO and live == 0
+                continue
+            first = after.segments[0]
+            assert bisect.bisect_right(index.raws, walk(first.angle_from_deg)) == cursor
+            assert first.liquidity == result.final_liquidity
+        if committed.angle_deg is None:
+            # a walk that ends inside a segment: the saved angle keys the
+            # same segment for a trade the other way
+            back = tick_outcome(ledger, saved, 1 - token_in, F.from_raw(1))
+            assert back.segments[0].liquidity == result.final_liquidity
+
+
+class TestIntegerKernel:
+    """Raw ints inside the walk: overflow only where a FixedDecimal wrap raised."""
+
+    @staticmethod
+    def crossing(liquidity):
+        # a full-range base and as much again above 45 degrees, from 44
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, liquidity))
+        ledger = add_position(ledger, LpPosition("top", F(45), NINETY, liquidity))
+        state = PoolState(reserves=reserves_at_angle(CIRCLE, F(44), liquidity),
+                          liquidity_scale=liquidity, angle_deg=F(44))
+        room = fp_sub(fp_mul(CIRCLE.l, liquidity), state.reserves[0])
+        return ledger, state, fp_mul(room, F("0.5"))
+
+    @pytest.mark.parametrize("liquidity, overflows", [
+        # the re-anchor at 45 multiplies x by the new radius: about
+        # 2 (l s)^2 cos 44 in squared raw units, 6.7e55 at s = 2e9 and
+        # 1.5e56 at s = 3e9, against the 1e56 a product may reach
+        ("2000000000", False),
+        ("3000000000", True),
+    ])
+    def test_reanchor_product_overflows_as_its_wrap_did(self, liquidity, overflows):
+        ledger, state, delta = self.crossing(F(liquidity))
+        if overflows:
+            with pytest.raises(RangeError, match="exceeds 1e20"):
+                swap_across_ticks(CIRCLE, ledger, state, 0, delta)
+        else:
+            result = swap_across_ticks(CIRCLE, ledger, state, 0, delta)
+            assert [s.liquidity for s in result.segments] == [F(liquidity), F(liquidity) + F(liquidity)]
+
+    @pytest.mark.parametrize("scale, overflows", [
+        # price cot(phi) = x / y with y one quantum: above 1e20 once x is
+        # above 100, that is l s above 100
+        ("29", False),
+        ("30", True),
+    ])
+    def test_price_overflows_as_its_wrap_did(self, scale, overflows):
+        scale = F(scale)
+        offset = fp_mul(CIRCLE.l, scale)
+        # the point (x, y) = (offset, 1 quantum), a hair past the arc start
+        state = PoolState(reserves=(ZERO, offset - F.from_raw(1)), liquidity_scale=scale,
+                          angle_deg=ZERO)
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, scale))
+        if overflows:
+            with pytest.raises(RangeError, match="exceeds 1e20"):
+                swap_across_ticks(CIRCLE, ledger, state, 0, F.from_raw(1))
+        else:
+            result = swap_across_ticks(CIRCLE, ledger, state, 0, F.from_raw(1))
+            assert result.quote.price_before == F.from_raw(offset.raw * WAD)
+
+    def test_segments_are_wrapped_when_read(self):
+        ledger = make_fig3_ledger()
+        x, y = reserves_at_angle(CIRCLE, F(45), F(8))
+        state = PoolState(reserves=(x, y), liquidity_scale=F(8), angle_deg=F(45))
+        result = swap_across_ticks(CIRCLE, ledger, state, 0, F(5))
+        assert "segments" not in vars(result)
+        assert [s.liquidity for s in result.segments] == [F(8), F(5)]
+        assert result.segments is result.segments
