@@ -27,8 +27,8 @@ from .invariant import (CurveParams, PoolState, invariant_residual, solve_ccmm_s
 from .polar import angle_to_price, cartesian_to_polar, price_to_angle, reserves_at_angle
 from .poolfile import PoolFile, load, save
 from .swap import SwapQuote, y_of_x
-from .ticks import (LpPosition, TickGrid, TickLedger, add_position, gen_trades, replay,
-                    route_swap)
+from .ticks import (LpPosition, TickGrid, TickLedger, add_position, file_angle, gen_trades,
+                    replay, route_swap)
 
 F = FixedDecimal
 
@@ -149,8 +149,8 @@ def cmd_trade(args) -> int:
     )
     if args.command == "swap":
         if tick_result is not None:
-            # the file keeps the angle the walk ends on, the next load's key
-            state = replace(state, angle_deg=tick_result.final_angle_deg)
+            state = replace(state, angle_deg=file_angle(pool.params, pool.ledger, state,
+                                                         tick_result))
         save(args.pool, replace(pool, state=state))
     _print_json(_quote_payload(args, quote, tick_result))
     return EXIT_OK

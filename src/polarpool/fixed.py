@@ -18,8 +18,8 @@ at a working scale of 10^-50 and round once to the 18-digit grid, so each
 result is the nearest grid point to the exact value unless that value
 lies within about 1e-30 quanta of a rounding boundary. There is no acos
 or asin: the engine forms an angle only from a point's two coordinates,
-with atan2, which converts to degrees at the working scale when asked,
-so an angle in degrees is rounded once too.
+with atan2, which returns degrees, converted at the working scale and
+rounded once.
 
 Code that computes on raw unit counts, such as the tick walk, uses the
 integer cores directly: ``_round_div`` for a product or quotient,
@@ -495,19 +495,16 @@ def _angle(y: int, x: int) -> int:
     return -angle if y < 0 else angle
 
 
-def fp_atan2(y: FixedDecimal, x: FixedDecimal, degrees: bool = False) -> FixedDecimal:
-    """Two-argument arctangent, standard quadrant convention.
+def fp_atan2(y: FixedDecimal, x: FixedDecimal) -> FixedDecimal:
+    """Two-argument arctangent in degrees, standard quadrant convention.
 
-    In radians, or with ``degrees`` in degrees: the working-scale angle
-    times 180 over pi at pi's full 110 digits, rounded once to the grid.
+    The working-scale angle times 180 over pi at pi's full 110 digits,
+    rounded once to the grid.
     """
     if x.raw == 0 and y.raw == 0:
         raise DomainError("atan2(0, 0) is undefined")
-    angle = _angle(y.raw, x.raw)
-    if degrees:
-        return FixedDecimal.from_raw(_round_div(
-            180 * angle * 10 ** (_PI_DIGITS - _DIGITS + DECIMALS), _PI_RAW))
-    return _from_scaled(angle)
+    return FixedDecimal.from_raw(_round_div(
+        180 * _angle(y.raw, x.raw) * 10 ** (_PI_DIGITS - _DIGITS + DECIMALS), _PI_RAW))
 
 
 # -- constants ------------------------------------------------------------

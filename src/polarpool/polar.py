@@ -90,7 +90,7 @@ def point_angle(x: FixedDecimal, y: FixedDecimal) -> FixedDecimal:
     """
     if x.is_zero():
         return NINETY
-    return fp_atan2(y, x, degrees=True)
+    return fp_atan2(y, x)
 
 
 def arbitrage_point(price: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:

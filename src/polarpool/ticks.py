@@ -352,14 +352,8 @@ def _reanchor(params: CurveParams, reserves, scale: int, i: int, j: int,
               x: int, y: int, circle: int) -> tuple[int, int, int, int]:
     """The raw point (x, y) of a circle of radius ``circle`` moved to the same
     angle on the pair circle at ``scale``: (offset, radius, x', y')."""
-    if params.n == 2:
-        # the pool's own circle, as effective_pair_circle gives it
-        offset = radius = _round_div(params.l.raw * scale, WAD)
-        if offset > MAX_RAW:
-            raise _range_error()
-    else:
-        offset, radius = (v.raw for v in effective_pair_circle(
-            params, reserves, FixedDecimal.from_raw(scale), i, j))
+    offset, radius = (v.raw for v in effective_pair_circle(
+        params, reserves, FixedDecimal.from_raw(scale), i, j))
     # v * radius / circle, rounded after the product and after the quotient,
     # either of which overflows where its wrap did
     px, py = _round_div(x * radius, WAD), _round_div(y * radius, WAD)
@@ -528,6 +522,35 @@ def commit_tick_swap(state: PoolState, result: TickSwapResult) -> PoolState:
         liquidity_scale=result.final_liquidity,
         angle_deg=None if isinstance(result.end, _Point) else result.final_angle_deg,
     )
+
+
+def file_angle(params: CurveParams, ledger: TickLedger, state: PoolState,
+               result: TickSwapResult) -> FixedDecimal | None:
+    """The angle a pool file keeps for ``state``, which ``result`` committed.
+
+    A reload must key the segments the state keys in memory. A state
+    committed with an angle keeps it. A two-token state committed without
+    one is keyed by its point: each trade direction tests the point against
+    the boundaries on its own axis, and within rounding of a boundary b the
+    two tests can both place the point on b, or both off it. The file keeps
+    the final angle when every boundary lies on one side of the point, b
+    when both tests place the point on b, and no angle when neither does,
+    so that the reload searches from the point.
+    """
+    if params.n > 2 or state.angle_deg is not None:
+        return result.final_angle_deg
+    offset = fp_mul(params.l, state.liquidity_scale).raw
+    x, y = (offset - v.raw for v in state.reserves)
+    k = ledger.index.point_segment(x, offset)
+    # the boundaries at or below the point by the token-0 test, plus those
+    # at or above it by the token-1 test, less all of them: 0 when the
+    # tests agree, 1 when both place the point on raws[k - 1]
+    overlap = k + ledger.mirrored_index.point_segment(y, offset) - len(ledger.index.raws)
+    if overlap == 0:
+        return result.final_angle_deg
+    if overlap == 1:
+        return FixedDecimal.from_raw(ledger.index.raws[k - 1])
+    return None
 
 
 def route_swap(params: CurveParams, ledger: TickLedger, state: PoolState, route: str,

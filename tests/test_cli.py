@@ -12,7 +12,8 @@ import pytest
 from polarpool import cli
 from polarpool.cli import build_parser, main
 from polarpool.fixed import FixedDecimal, WAD
-from polarpool.invariant import ON_CURVE_TOLERANCE
+from polarpool.invariant import ON_CURVE_TOLERANCE, PoolState
+from polarpool.polar import reserves_at_angle
 from polarpool.poolfile import dumps, load, save
 from polarpool.ticks import (LpPosition, TickLedger, add_position, gen_trades, replay,
                              route_swap)
@@ -276,6 +277,42 @@ class TestReplay:
                              "--log", str(log))
         assert (code, out) == (2, "")
         assert err == f"invalid input: trade 2: {message}\n"
+
+    def test_swaps_through_the_pool_file_pay_what_a_replay_pays(self, tmp_path, capsys):
+        # a 1-quantum sell from the boundary at 78 ends on a point that both
+        # tokens' segment tests place on 78; the pool file must key the
+        # token-1 sell that follows as the replay's state in memory does
+        pool_path, log, per_trade = tmp_path / "p.json", tmp_path / "log.csv", tmp_path / "r.csv"
+        init_pool(capsys, pool_path)
+        ledger = TickLedger()
+        for k, (lo, hi, liquidity) in enumerate([
+                (0, 90, "3.085651407984848828"), (80, 82, "4.256249516220346779"),
+                (22, 78, "3.5758464158306777"), (23, 26, "2.529327051901652351"),
+                (10, 34, "1.761615404499850643")]):
+            ledger = add_position(ledger, LpPosition(f"p{k}", F(lo), F(hi), F(liquidity)))
+        pool = load(pool_path)
+        scale = F("3.085651407984848828")
+        state = PoolState(reserves=reserves_at_angle(pool.params, F(78), scale),
+                          liquidity_scale=scale, angle_deg=F(78))
+        save(pool_path, replace(pool, ledger=ledger, state=state))
+        trades = [(1, 0, 1, "0.000000000000000001"), (2, 1, 0, "0.5")]
+        log.write_text("seq,token_in,token_out,amount_in\n" + "".join(
+            f"{seq},{i},{j},{amount}\n" for seq, i, j, amount in trades))
+        code, _, err = run(capsys, "replay", "--pool", str(pool_path), "--log", str(log),
+                           "--out-csv", str(per_trade))
+        assert code == 0, err
+        replayed = [row.split(",")[4] for row in per_trade.read_text().splitlines()[1:]]
+
+        swapped = []
+        for _, i, j, amount in trades:
+            code, out, err = run(capsys, "swap", "--pool", str(pool_path), "--token-in", str(i),
+                                 "--token-out", str(j), "--amount", amount, "--route", "ticks")
+            assert code == 0, err
+            swapped.append(json.loads(out)["amount_out"])
+            if len(swapped) == 1:
+                assert load(pool_path).state.angle_deg == F(78)
+        assert swapped == replayed
+        assert swapped[1] == "1.931434047973667885"
 
     def test_bad_header_rejected(self, tmp_path, capsys):
         pool_path = tmp_path / "p.json"

@@ -368,7 +368,8 @@ class TestTrig:
             if x.raw == 0 and y.raw == 0:
                 continue
             assert_close_to_reference(
-                fp_atan2(y, x), mpmath.atan2(to_mp(y), to_mp(x)), rel=1e-14, ulps=2
+                fp_atan2(y, x), mpmath.degrees(mpmath.atan2(to_mp(y), to_mp(x))),
+                rel=1e-14, ulps=2,
             )
 
 
@@ -387,18 +388,11 @@ class TestCorrectRounding:
     @given(signed(spread_raws(1, 38)), signed(spread_raws(1, 38)))
     @settings(max_examples=300)
     def test_atan2(self, y_raw, x_raw):
-        y, x = F.from_raw(y_raw), F.from_raw(x_raw)
-        with mpmath.workdps(60):
-            assert_correctly_rounded(fp_atan2(y, x), mpmath.atan2(to_mp(y), to_mp(x)))
-
-    @given(signed(spread_raws(1, 38)), signed(spread_raws(1, 38)))
-    @settings(max_examples=300)
-    def test_atan2_degrees(self, y_raw, x_raw):
         # one rounding, from the working scale: 180 / pi rounded to the grid
         # first would put the angle up to 41 quanta off
         y, x = F.from_raw(y_raw), F.from_raw(x_raw)
         with mpmath.workdps(60):
-            assert_correctly_rounded(fp_atan2(y, x, degrees=True),
+            assert_correctly_rounded(fp_atan2(y, x),
                                      mpmath.degrees(mpmath.atan2(to_mp(y), to_mp(x))))
 
     @given(spread_raws(1, 38))

@@ -31,6 +31,7 @@ from polarpool.ticks import (
     active_liquidity,
     add_position,
     commit_tick_swap,
+    file_angle,
     gen_trades,
     remove_position,
     replay,
@@ -305,6 +306,15 @@ def tick_outcome(ledger, state, token_in, delta):
         return swap_across_ticks(CIRCLE, ledger, state, token_in, delta)
     except EngineError as err:
         return err
+
+
+def fills(outcome):
+    """What a trade pays, segment by segment, or its error: everything but
+    the angles it reports."""
+    if isinstance(outcome, EngineError):
+        return (type(outcome), outcome.args, getattr(outcome, "filled_in", None),
+                getattr(outcome, "filled_out", None))
+    return outcome.quote, [(s.liquidity, s.delta_in, s.delta_out) for s in outcome.segments]
 
 
 def mirrored_angle(angle):
@@ -602,7 +612,7 @@ class TestCarriedPairKernel:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_replay_forms_no_angle(self, monkeypatch, n):
-        # every atan2, in radians or degrees, runs fixed._angle
+        # every atan2 runs fixed._angle
         params = CurveParams(n=n)
         reserves = (ONE,) * n
         scale = solve_ccmm_scale(params, reserves)
@@ -744,7 +754,7 @@ class TestSegmentCursor:
         live = index.totals[cursor - 1] if cursor else 0
         assert result.final_liquidity.raw == live or live == 0
         committed = commit_tick_swap(state, result)
-        saved = replace(committed, angle_deg=result.final_angle_deg)
+        saved = replace(committed, angle_deg=file_angle(CIRCLE, ledger, committed, result))
         for start in (committed, saved):
             after = tick_outcome(ledger, start, token_in, F.from_raw(1))
             if isinstance(after, EngineError):
@@ -754,11 +764,31 @@ class TestSegmentCursor:
             first = after.segments[0]
             assert bisect.bisect_right(index.raws, walk(first.angle_from_deg)) == cursor
             assert first.liquidity == result.final_liquidity
-        if committed.angle_deg is None:
-            # a walk that ends inside a segment: the saved angle keys the
-            # same segment for a trade the other way
-            back = tick_outcome(ledger, saved, 1 - token_in, F.from_raw(1))
-            assert back.segments[0].liquidity == result.final_liquidity
+        # a trade the other way reads the saved angle as memory reads the
+        # point
+        assert fills(tick_outcome(ledger, saved, 1 - token_in, F.from_raw(1))) == \
+            fills(tick_outcome(ledger, committed, 1 - token_in, F.from_raw(1)))
+
+    def test_point_off_a_boundary_from_both_tokens_saves_no_angle(self):
+        # a point just past 45 on both axes: each token's test places it on
+        # the far side of 45, which no single angle does, so a pool file
+        # keeps no angle
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, F(1000)))
+        ledger = add_position(ledger, LpPosition("core", F(45), F(46), F(1000)))
+        radius = fp_mul(CIRCLE.l, F(1000)).raw
+        cos_45 = polarpool.polar.boundary_cos_sin(45 * WAD)[0].raw
+        v = radius * cos_45 // WAD + 1
+        state = PoolState(reserves=(F.from_raw(radius - v),) * 2,
+                          liquidity_scale=F(1000), angle_deg=None)
+        result = swap_across_ticks(CIRCLE, ledger, state, 0, ZERO)
+        committed = commit_tick_swap(state, result)
+        assert committed.angle_deg is None
+        assert file_angle(CIRCLE, ledger, committed, result) is None
+        # from memory each token starts below its own side of 45
+        assert swap_across_ticks(CIRCLE, ledger, committed, 0, F.from_raw(1)) \
+            .segments[0].liquidity == F(1000)
+        assert swap_across_ticks(CIRCLE, ledger, committed, 1, F.from_raw(1)) \
+            .segments[0].liquidity == F(2000)
 
 
 class TestIntegerKernel:
