@@ -20,7 +20,7 @@ from .errors import (DomainError, InsufficientLiquidityError, NotFoundError, Num
                      RangeError, ShapeError, ValidationError)
 from .fingerprint import (FingerprintParams, fingerprint_ccmm, fingerprint_cemm,
                           fingerprint_csemm, lp_payoff, multimodal_radius)
-from .fixed import FixedDecimal, HALF_PI, ONE, ZERO, fp_add, fp_mul, fp_sub
+from .fixed import MAX_RAW, FixedDecimal, HALF_PI, ONE, ZERO, _range_error, fp_mul
 from .hedge import HedgeSpec, hedge_payoff
 from .invariant import (CurveParams, PoolState, invariant_residual, solve_ccmm_scale,
                         solve_csemm_scale, solve_shifted_scale)
@@ -216,8 +216,12 @@ def _sample_grid(lo: FixedDecimal, hi: FixedDecimal, n: int):
         raise ValidationError("need at least 2 samples")
     if hi <= lo:
         raise ValidationError("sample range must be increasing")
-    span = fp_sub(hi, lo)
-    return [fp_add(lo, F.from_raw(span.raw * k // (n - 1))) for k in range(n)]
+    lo, span = lo.raw, hi.raw - lo.raw
+    # hi - lo must be representable, as its wrap would be; every point
+    # then lies in [lo, hi]
+    if span > MAX_RAW:
+        raise _range_error()
+    return [F.from_raw(lo + span * k // (n - 1)) for k in range(n)]
 
 
 def cmd_curve(args) -> int:

@@ -24,9 +24,10 @@ rounded once.
 Code that computes on raw unit counts, such as the tick walk, uses the
 integer cores directly: ``_round_div`` for a product or quotient,
 ``_div`` for a quotient of raws, ``_isqrt_diff_squares`` for a root of an
-exact radicand, and ``MAX_RAW`` with ``_range_error`` for the overflow a
-wrap would raise. They keep their underscores so that span tracers, which
-wrap public functions, leave them alone.
+exact radicand, ``_nearest_isqrt`` for a root of an exact ratio, and
+``MAX_RAW`` with ``_range_error`` for the overflow a wrap would raise.
+They keep their underscores so that span tracers, which wrap public
+functions, leave them alone.
 """
 
 from __future__ import annotations
@@ -225,16 +226,20 @@ def _parse_decimal_string(text: str) -> int:
     units, _, frac = s.partition(".")
     if not units and not frac:
         raise DomainError(f"not a decimal string: {text!r}")
-    units = units or "0"
-    if not units.isdigit() or (frac and not frac.isdigit()):
+    # isdecimal, not isdigit: superscripts are digits that int() refuses
+    if not (units + frac).isdecimal():
         raise DomainError(f"not a decimal string: {text!r}")
     if len(frac) > DECIMALS:
         raise DomainError(
             f"more than {DECIMALS} fractional digits in {text!r}; "
             "use FixedDecimal.from_fraction for rounded construction"
         )
-    frac_raw = int(frac) * 10 ** (DECIMALS - len(frac)) if frac else 0
-    return sign * (int(units) * WAD + frac_raw)
+    # past 21 whole digits a value exceeds 1e20, and long digit strings
+    # exceed what int() parses
+    units = units.lstrip("0")
+    if len(units) > 21:
+        raise _range_error()
+    return sign * int(units + frac + "0" * (DECIMALS - len(frac)))
 
 
 # -- basic operations -----------------------------------------------------

@@ -14,6 +14,12 @@ point whose marginal price cot phi equals the valuation price p, which is
 the unit vector (cos, sin) = (p, 1) / sqrt(1 + p^2), clamped to the band.
 The band edges' (cos, sin) come from the boundary table the tick kernel
 reads, so marking a price evaluates no trigonometric function.
+
+Marks run on raw integers at scale 10^18, with the roundings and range
+checks a wrap of each intermediate would make. A band is its liquidity
+times l, its edge points and its holdings at the clamped edges, which are
+constants: all y below the band in angle, all x above it. A payoff forms
+a ``FixedDecimal`` only for each output sample.
 """
 
 from __future__ import annotations
@@ -22,19 +28,22 @@ from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, RangeError, ValidationError
 from .fixed import (
+    MAX_RAW,
+    WAD,
     FixedDecimal,
     ONE,
     ZERO,
-    fp_div,
+    _div,
+    _nearest_isqrt,
+    _range_error,
+    _round_div,
+    fp_add,
     fp_mul,
     fp_sub,
-    fp_add,
 )
 from .invariant import CurveParams
 from .polar import NINETY, arbitrage_point, boundary_cos_sin, price_to_angle
 from .ticks import LpPosition, TickGrid, TickLedger
-
-F = FixedDecimal
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,9 @@ def position_value(params: CurveParams, position: LpPosition,
     """
     if price <= ZERO:
         raise DomainError("price must be positive")
-    return _LegMark(params, position).value(price, *arbitrage_point(price))
+    cos_at, sin_at = arbitrage_point(price)
+    return FixedDecimal.from_raw(
+        _LegMark(params, position).value(price.raw, cos_at.raw, sin_at.raw))
 
 
 def _aligned_strike_angle(grid, spec: HedgeSpec) -> FixedDecimal:
@@ -109,12 +120,11 @@ def hedge_legs(params: CurveParams, grid, spec: HedgeSpec) -> tuple[LpPosition, 
         upper_deg=long_hi,
         liquidity=spec.notional_liquidity,
     )
-    x_long, _ = _LegMark(params, long_leg).full_amounts()
     probe_short = LpPosition(
         id="probe", lower_deg=short_lo, upper_deg=strike_angle, liquidity=ONE
     )
-    x_short_unit, _ = _LegMark(params, probe_short).full_amounts()
-    short_liquidity = fp_div(x_long, x_short_unit)
+    short_liquidity = FixedDecimal.from_raw(
+        _div(_LegMark(params, long_leg).x_full, _LegMark(params, probe_short).x_full))
     short_leg = LpPosition(
         id=f"hedge:{spec.strike_price}:{spec.width_deg}:short",
         lower_deg=short_lo,
@@ -134,36 +144,51 @@ def build_hedge(params: CurveParams, ledger: TickLedger,
 
 
 class _LegMark:
-    """A band's edge points, for fast repeated valuation.
+    """A band as raw ints at scale 10^18, for fast repeated valuation.
 
     Reads only the bounds and the liquidity: a short leg marks as the claim
     it holds, and spreads subtract it.
     """
 
+    __slots__ = ("lam_l", "cos_lo", "cos_hi", "sin_hi", "x_full", "y_full")
+
     def __init__(self, params: CurveParams, position: LpPosition):
-        self.lam_l = fp_mul(position.liquidity, params.l)
-        self.cos_lo, self.sin_lo = boundary_cos_sin(position.lower_deg.raw)
-        self.cos_hi, self.sin_hi = boundary_cos_sin(position.upper_deg.raw)
+        self.lam_l = lam_l = fp_mul(position.liquidity, params.l).raw
+        cos_lo, sin_lo = boundary_cos_sin(position.lower_deg.raw)
+        cos_hi, sin_hi = boundary_cos_sin(position.upper_deg.raw)
+        self.cos_lo, self.cos_hi, self.sin_hi = cos_lo.raw, cos_hi.raw, sin_hi.raw
+        # The full holdings once the price has crossed the band: x when the
+        # pool angle is above it, y when below; per the arc
+        # x(phi) = lam*l*(1 - cos phi), y(phi) = lam*l*(1 - sin phi). Edge
+        # gaps are at most 1, so neither leaves lam*l's range.
+        self.x_full = _round_div(lam_l * (cos_lo.raw - cos_hi.raw), WAD)
+        self.y_full = _round_div(lam_l * (sin_hi.raw - sin_lo.raw), WAD)
 
-    def full_amounts(self) -> tuple[FixedDecimal, FixedDecimal]:
-        """Full token holdings of the band once the price has crossed it.
-
-        x when the pool angle is above the band, y when below; per the arc
-        x(phi) = lam*l*(1 - cos phi), y(phi) = lam*l*(1 - sin phi).
-        """
-        return (fp_mul(self.lam_l, fp_sub(self.cos_lo, self.cos_hi)),
-                fp_mul(self.lam_l, fp_sub(self.sin_hi, self.sin_lo)))
-
-    def value(self, price: FixedDecimal, cos_at: FixedDecimal,
-              sin_at: FixedDecimal) -> FixedDecimal:
+    def value(self, price: int, cos_at: int, sin_at: int) -> int:
+        """Raw value at raw price ``price`` of the band's holdings at the arc
+        point (cos_at, sin_at), clamped to the band."""
         # cos falls as the angle rises: the band is cos_hi <= cos <= cos_lo
         if cos_at >= self.cos_lo:
-            cos_at, sin_at = self.cos_lo, self.sin_lo
-        elif cos_at <= self.cos_hi:
-            cos_at, sin_at = self.cos_hi, self.sin_hi
-        x_pos = fp_mul(self.lam_l, fp_sub(self.cos_lo, cos_at))
-        y_pos = fp_mul(self.lam_l, fp_sub(self.sin_hi, sin_at))
-        return fp_add(fp_mul(price, x_pos), y_pos)
+            return self.y_full
+        if cos_at <= self.cos_hi:
+            x, y = self.x_full, 0
+        else:
+            x = _round_div(self.lam_l * (self.cos_lo - cos_at), WAD)
+            y = _round_div(self.lam_l * (self.sin_hi - sin_at), WAD)
+        # x >= 0 and |y| <= lam*l: only the product and the sum can pass
+        # the range, and only upward
+        value = _round_div(price * x, WAD)
+        if value > MAX_RAW:
+            raise _range_error()
+        value += y
+        if value > MAX_RAW:
+            raise _range_error()
+        return value
+
+
+# ONE's raw squared, and squared again: the terms of fp_unit(price, ONE)
+_WAD_SQ = WAD * WAD
+_WAD_4 = _WAD_SQ * _WAD_SQ
 
 
 def hedge_payoff(params: CurveParams, spec: HedgeSpec, price_grid,
@@ -179,18 +204,27 @@ def hedge_payoff(params: CurveParams, spec: HedgeSpec, price_grid,
     long_leg, short_leg = hedge_legs(params, grid, spec)
     long_mark = _LegMark(params, long_leg)
     short_mark = _LegMark(params, short_leg)
-    _, y_long = long_mark.full_amounts()
-    _, y_short = short_mark.full_amounts()
-    no_depeg_level = fp_sub(y_long, y_short)
+    no_depeg_level = long_mark.y_full - short_mark.y_full
     scale = -no_depeg_level
-    if scale <= ZERO:
+    if scale <= 0:
         raise ValidationError("degenerate hedge: bands too narrow for the grid")
+    long_value, short_value = long_mark.value, short_mark.value
     samples = []
     for price in price_grid:
-        if price <= ZERO:
+        p = price.raw
+        if p <= 0:
             raise DomainError("price must be positive")
-        cos_at, sin_at = arbitrage_point(price)
-        raw = fp_sub(long_mark.value(price, cos_at, sin_at),
-                     short_mark.value(price, cos_at, sin_at))
-        samples.append((price, fp_div(fp_sub(raw, no_depeg_level), scale)))
+        # arbitrage_point's (p, 1) / sqrt(1 + p^2), each component
+        # correctly rounded from its exact ratio of squares
+        p_sq = p * p
+        n = p_sq + _WAD_SQ
+        cos_at = _nearest_isqrt(p_sq * _WAD_SQ, n)
+        sin_at = _nearest_isqrt(_WAD_4, n)
+        raw = long_value(p, cos_at, sin_at) - short_value(p, cos_at, sin_at)
+        if not -MAX_RAW <= raw <= MAX_RAW:
+            raise _range_error()
+        raw -= no_depeg_level
+        if not -MAX_RAW <= raw <= MAX_RAW:
+            raise _range_error()
+        samples.append((price, FixedDecimal.from_raw(_div(raw, scale))))
     return PayoffCurve(samples=tuple(samples))

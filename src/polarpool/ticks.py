@@ -190,17 +190,27 @@ class TickLedger:
         Boundaries whose signed deltas cancel are left out. Built on first
         use; not a field, so equality and the pool-file format ignore it.
         """
-        deltas: dict[int, FixedDecimal] = {}
+        # raw sums, each range-checked as the wrap of every partial sum would be
+        deltas: dict[int, int] = {}
         for p in self.positions:
-            amt = p.liquidity if p.side == "long" else -p.liquidity
-            deltas[p.lower_deg.raw] = fp_add(deltas.get(p.lower_deg.raw, ZERO), amt)
-            deltas[p.upper_deg.raw] = fp_sub(deltas.get(p.upper_deg.raw, ZERO), amt)
-        raws, totals, total = [], [], ZERO
+            amt = p.liquidity.raw if p.side == "long" else -p.liquidity.raw
+            lower, upper = p.lower_deg.raw, p.upper_deg.raw
+            delta = deltas.get(lower, 0) + amt
+            if not -MAX_RAW <= delta <= MAX_RAW:
+                raise _range_error()
+            deltas[lower] = delta
+            delta = deltas.get(upper, 0) - amt
+            if not -MAX_RAW <= delta <= MAX_RAW:
+                raise _range_error()
+            deltas[upper] = delta
+        raws, totals, total = [], [], 0
         for raw in sorted(deltas):
-            if not deltas[raw].is_zero():
-                total = fp_add(total, deltas[raw])
+            if deltas[raw]:
+                total += deltas[raw]
+                if not -MAX_RAW <= total <= MAX_RAW:
+                    raise _range_error()
                 raws.append(raw)
-                totals.append(total.raw)
+                totals.append(total)
         return SegmentIndex(tuple(raws), tuple(totals))
 
     @cached_property

@@ -3,7 +3,9 @@
 Exact integers decide rounded square roots; mpmath, at the precision of
 the autouse fixture in ``conftest.py`` or of a test's own ``workdps``
 block, serves only where the answer is transcendental. Nothing here calls
-the engine's arithmetic.
+the engine's arithmetic, except the hedge marks by wraps: they are the
+``FixedDecimal`` operations the engine's raw marks replace, one wrap per
+intermediate, which the raw marks must reproduce bit for bit.
 """
 
 import math
@@ -11,7 +13,9 @@ import math
 import mpmath
 from hypothesis import strategies as st
 
-from polarpool.fixed import WAD, FixedDecimal
+from polarpool.errors import DomainError, ValidationError
+from polarpool.fixed import WAD, ZERO, FixedDecimal, fp_add, fp_div, fp_mul, fp_sub
+from polarpool.polar import arbitrage_point, boundary_cos_sin
 
 
 def to_mp(x):
@@ -82,3 +86,46 @@ def circle_step_within(centre: int, radius_sq: int, moved: int, out: int,
     centre - sqrt(n), n = radius_sq - (centre - moved)^2, exactly.
     """
     return root_within(centre - out, radius_sq - (centre - moved) ** 2, halves)
+
+
+class LegMarkByWraps:
+    """A hedge band marked wrap by wrap: every intermediate a FixedDecimal."""
+
+    def __init__(self, params, position):
+        self.lam_l = fp_mul(position.liquidity, params.l)
+        self.cos_lo, self.sin_lo = boundary_cos_sin(position.lower_deg.raw)
+        self.cos_hi, self.sin_hi = boundary_cos_sin(position.upper_deg.raw)
+
+    def full_amounts(self):
+        return (fp_mul(self.lam_l, fp_sub(self.cos_lo, self.cos_hi)),
+                fp_mul(self.lam_l, fp_sub(self.sin_hi, self.sin_lo)))
+
+    def value(self, price, cos_at, sin_at):
+        if cos_at >= self.cos_lo:
+            cos_at, sin_at = self.cos_lo, self.sin_lo
+        elif cos_at <= self.cos_hi:
+            cos_at, sin_at = self.cos_hi, self.sin_hi
+        x_pos = fp_mul(self.lam_l, fp_sub(self.cos_lo, cos_at))
+        y_pos = fp_mul(self.lam_l, fp_sub(self.sin_hi, sin_at))
+        return fp_add(fp_mul(price, x_pos), y_pos)
+
+
+def hedge_payoff_by_wraps(params, long_leg, short_leg, prices):
+    """The (price, normalized value) samples of a spread, wrap by wrap."""
+    long_mark = LegMarkByWraps(params, long_leg)
+    short_mark = LegMarkByWraps(params, short_leg)
+    _, y_long = long_mark.full_amounts()
+    _, y_short = short_mark.full_amounts()
+    no_depeg_level = fp_sub(y_long, y_short)
+    scale = -no_depeg_level
+    if scale <= ZERO:
+        raise ValidationError("degenerate hedge: bands too narrow for the grid")
+    samples = []
+    for price in prices:
+        if price <= ZERO:
+            raise DomainError("price must be positive")
+        cos_at, sin_at = arbitrage_point(price)
+        raw = fp_sub(long_mark.value(price, cos_at, sin_at),
+                     short_mark.value(price, cos_at, sin_at))
+        samples.append((price, fp_div(fp_sub(raw, no_depeg_level), scale)))
+    return tuple(samples)

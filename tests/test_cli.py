@@ -584,6 +584,14 @@ class TestMalformedInput:
         assert code == 2
         assert f"invalid input: {message}" in err
 
+    def test_non_decimal_digit_amount(self, tmp_path, capsys):
+        pool_path = tmp_path / "p.json"
+        init_pool(capsys, pool_path)
+        code, _, err = run(capsys, "quote", "--pool", str(pool_path), "--token-in", "0",
+                           "--token-out", "1", "--amount", "²")
+        assert code == 2
+        assert err == "invalid input: not a decimal string: '²'\n"
+
     def test_failed_save_keeps_pool_file(self, tmp_path, capsys, monkeypatch):
         pool_path = tmp_path / "p.json"
         init_pool(capsys, pool_path)

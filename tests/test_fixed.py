@@ -102,6 +102,22 @@ class TestBasicArithmetic:
         with pytest.raises(DomainError):
             F("0.1234567890123456789")
 
+    @pytest.mark.parametrize("text", ["²", "1.²", "¹0"],
+                             ids=["units", "fraction", "leading"])
+    def test_string_rejects_digits_int_refuses(self, text):
+        # superscripts pass str.isdigit, but int() refuses them
+        with pytest.raises(DomainError, match="not a decimal string"):
+            F(text)
+
+    def test_string_accepts_every_decimal_digit(self):
+        assert F("٣.5") == F("3.5")
+
+    @pytest.mark.parametrize("digits", [4290, 5000])
+    def test_long_digit_strings_overflow(self, digits):
+        with pytest.raises(RangeError):
+            F("1" * digits)
+        assert F("0" * digits + "1.5") == F("1.5")
+
     @given(a=raw_values, b=raw_values)
     def test_mul_matches_exact_integer_rounding(self, a, b):
         got = fp_mul(F.from_raw(a), F.from_raw(b))

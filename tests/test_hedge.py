@@ -1,12 +1,14 @@
 """Hedge construction, position marking, and the binary payoff shape."""
 
+import random
 import sys
+from dataclasses import replace
 
 import mpmath
 import pytest
 
 from polarpool.errors import RangeError, ValidationError
-from polarpool.fixed import FixedDecimal, ONE, ZERO
+from polarpool.fixed import FixedDecimal, ONE, ZERO, fp_div
 from polarpool.hedge import (
     HedgeSpec,
     PayoffCurve,
@@ -16,8 +18,9 @@ from polarpool.hedge import (
     position_value,
 )
 from polarpool.invariant import CurveParams
+from polarpool.polar import arbitrage_point, boundary_cos_sin
 from polarpool.ticks import LpPosition, TickGrid, TickLedger, active_liquidity, add_position
-from reference import to_mp
+from reference import LegMarkByWraps, hedge_payoff_by_wraps, to_mp
 
 F = FixedDecimal
 CIRCLE = CurveParams(n=2)
@@ -196,3 +199,84 @@ class TestHedgePayoff:
     def test_curve_rejects_unsorted_grid(self):
         with pytest.raises(ValidationError):
             PayoffCurve(samples=((ONE, ZERO), (ONE, ZERO)))
+
+
+class TestRawMarksMatchWraps:
+    """The raw marks reproduce the wrap-by-wrap FixedDecimal marks bit for bit."""
+
+    # tick spacings that divide each band width (and 90)
+    SPACINGS = {"0.5": ("0.5", "0.25", "0.1"), "1": ("1", "0.5", "0.25"),
+                "2": ("2", "1", "0.5")}
+
+    @staticmethod
+    def edge_price(raw_deg):
+        cos_b, sin_b = boundary_cos_sin(raw_deg)
+        return float(to_mp(cos_b) / to_mp(sin_b))
+
+    def prices_across(self, long_leg, short_leg):
+        """A coarse grid over [0.05, 4] and a dense one across both bands."""
+        lo = self.edge_price(long_leg.upper_deg.raw) * 0.99
+        hi = self.edge_price(short_leg.lower_deg.raw) * 1.01
+        raws = {p.raw for p in price_grid("0.05", "4", 201)}
+        raws |= {p.raw for p in price_grid(f"{lo:.12f}", f"{hi:.12f}", 201)}
+        return [F.from_raw(raw) for raw in sorted(raws)]
+
+    @staticmethod
+    def places(leg, prices):
+        """Where each price's arbitrage point lies: below, inside or above the band."""
+        mark = LegMarkByWraps(CIRCLE, leg)
+        out = set()
+        for price in prices:
+            cos_at, _ = arbitrage_point(price)
+            out.add("below" if cos_at >= mark.cos_lo else
+                    "above" if cos_at <= mark.cos_hi else "inside")
+        return out
+
+    def test_seeded_spreads_and_positions(self):
+        rng = random.Random(20261019)
+        for _ in range(48):
+            width = rng.choice(sorted(self.SPACINGS))
+            grid = TickGrid(spacing_deg=F(rng.choice(self.SPACINGS[width])))
+            spec = HedgeSpec(F.from_raw(rng.randrange(3 * 10 ** 17 + 1, 99 * 10 ** 16)),
+                             width_deg=F(width),
+                             notional_liquidity=F.from_raw(int(10 ** rng.uniform(12, 21))))
+            long_leg, short_leg = hedge_legs(CIRCLE, grid, spec)
+            x_long, _ = LegMarkByWraps(CIRCLE, long_leg).full_amounts()
+            x_unit, _ = LegMarkByWraps(CIRCLE, replace(short_leg, liquidity=ONE)).full_amounts()
+            assert short_leg.liquidity == fp_div(x_long, x_unit)
+            prices = self.prices_across(long_leg, short_leg)
+            for leg in (long_leg, short_leg):
+                assert self.places(leg, prices) == {"below", "inside", "above"}
+            assert (hedge_payoff(CIRCLE, spec, prices, grid=grid).samples
+                    == hedge_payoff_by_wraps(CIRCLE, long_leg, short_leg, prices))
+            wide = LpPosition("wide", F(rng.randrange(0, 30)), F(rng.randrange(60, 91)),
+                              spec.notional_liquidity)
+            for leg in (long_leg, short_leg, wide):
+                mark = LegMarkByWraps(CIRCLE, leg)
+                for price in prices[::5]:
+                    assert (position_value(CIRCLE, leg, price)
+                            == mark.value(price, *arbitrage_point(price)))
+
+    def test_overflow_edge(self):
+        prices = price_grid("0.3", "3", 11)
+        # the long leg's liquidity times l passes 1e20
+        spec = HedgeSpec(F("0.95"), notional_liquidity=F("90000000000000000000"))
+        with pytest.raises(RangeError):
+            LegMarkByWraps(CIRCLE, LpPosition("long", F(46), F(47), spec.notional_liquidity))
+        with pytest.raises(RangeError):
+            hedge_payoff(CIRCLE, spec, prices)
+        # the largest notional the marks by wraps take, and one quantum more
+        lo, hi = F(1).raw, F("90000000000000000000").raw
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            spec = HedgeSpec(F("0.95"), notional_liquidity=F.from_raw(mid))
+            try:
+                hedge_payoff_by_wraps(CIRCLE, *hedge_legs(CIRCLE, TickGrid(), spec), prices)
+                lo = mid
+            except RangeError:
+                hi = mid
+        spec = HedgeSpec(F("0.95"), notional_liquidity=F.from_raw(lo))
+        assert (hedge_payoff(CIRCLE, spec, prices).samples
+                == hedge_payoff_by_wraps(CIRCLE, *hedge_legs(CIRCLE, TickGrid(), spec), prices))
+        with pytest.raises(RangeError):
+            hedge_payoff(CIRCLE, replace(spec, notional_liquidity=F.from_raw(hi)), prices)

@@ -158,6 +158,55 @@ class TestLedgerBookkeeping:
         assert active_liquidity(ledger, angle) == brute_force_active(ledger, angle)
 
 
+class TestIndexSums:
+    @pytest.mark.parametrize("bands", [((0, 10), (0, 20)), ((0, 20), (10, 30))],
+                             ids=["boundary-delta", "prefix-total"])
+    def test_sum_past_range_raises_on_first_use(self, bands):
+        ledger = TickLedger(positions=tuple(
+            LpPosition(f"p{k}", F(lo), F(hi), F("60000000000000000000"))
+            for k, (lo, hi) in enumerate(bands)))
+        with pytest.raises(RangeError):
+            ledger.index
+        with pytest.raises(RangeError):
+            active_liquidity(ledger, F(15))
+
+    def test_boundary_delta_past_range_raises_before_coverage_check(self):
+        # at 10 the short's upper and the long's lower add up past 1e20, while
+        # every prefix total stays in range
+        big = F("60000000000000000000")
+        with pytest.raises(RangeError):
+            TickLedger(positions=(LpPosition("s", F(0), F(10), big, side="short"),
+                                  LpPosition("l", F(10), F(20), big)))
+
+    @given(st.lists(st.tuples(st.integers(0, 89), st.integers(1, 90), st.integers(1, 10 ** 21),
+                              st.integers(0, 89), st.integers(1, 90), st.integers(0, 10 ** 21)),
+                    max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_segments_match_brute_force(self, pairs):
+        """Long and short positions: every boundary whose net delta is not 0,
+        and the liquidity above it, as the brute-force sum over positions
+        finds them. Each short sits inside its own long, with no more
+        liquidity, so the longs cover the shorts."""
+        positions = []
+        for k, (lo, span, liq, short_lo, short_span, short_liq) in enumerate(pairs):
+            hi = min(90, lo + span)
+            if hi <= lo:
+                continue
+            positions.append(LpPosition(f"l{k}", F(lo), F(hi), F.from_raw(liq)))
+            short_lo = lo + short_lo % (hi - lo)
+            short_hi = min(hi, short_lo + short_span)
+            if 0 < short_liq <= liq:
+                positions.append(LpPosition(f"s{k}", F(short_lo), F(short_hi),
+                                            F.from_raw(short_liq), side="short"))
+        ledger = TickLedger(positions=tuple(positions))
+        bounds = sorted({raw for p in positions for raw in (p.lower_deg.raw, p.upper_deg.raw)})
+        below = [brute_force_active(ledger, F.from_raw(raw - 1)).raw if raw else 0
+                 for raw in bounds]
+        above = [brute_force_active(ledger, F.from_raw(raw)).raw for raw in bounds]
+        live = [(raw, total) for raw, b, total in zip(bounds, below, above) if b != total]
+        assert list(zip(ledger.index.raws, ledger.index.totals)) == live
+
+
 class TestTickWidths:
     def test_tick_45_46(self):
         grid = TickGrid()
