@@ -23,9 +23,9 @@ rounded once.
 
 Code that computes on raw unit counts, such as the tick walk, uses the
 integer cores directly: ``_round_div`` for a product or quotient,
-``_div`` for a quotient of raws, ``_isqrt_diff_squares`` for a root of an
-exact radicand, ``_nearest_isqrt`` for a root of an exact ratio, and
-``MAX_RAW`` with ``_range_error`` for the overflow a wrap would raise.
+``_div`` for a quotient of raws, ``_nearest_isqrt`` for a root of an
+exact radicand or ratio, and ``MAX_RAW`` with ``_range_error`` for the
+overflow a wrap would raise.
 They keep their underscores so that span tracers, which wrap public
 functions, leave them alone.
 """
@@ -293,7 +293,10 @@ def fp_sqrt_diff_squares(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
     rounding. fp_sqrt of a rounded a^2 - b^2 would carry two, the first
     amplified by 1 / (2 sqrt(a^2 - b^2)) as |b| nears |a|.
     """
-    return FixedDecimal.from_raw(_isqrt_diff_squares(a.raw, b.raw))
+    n = a.raw * a.raw - b.raw * b.raw
+    if n < 0:
+        raise DomainError("sqrt(a^2 - b^2) needs |b| <= |a|")
+    return FixedDecimal.from_raw(_nearest_isqrt(n))
 
 
 def fp_hypot(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
@@ -312,14 +315,6 @@ def fp_unit(a: FixedDecimal, b: FixedDecimal) -> tuple[FixedDecimal, FixedDecima
         raise DomainError("unit vector needs a, b >= 0, not both 0")
     return (FixedDecimal.from_raw(_nearest_isqrt(a.raw * a.raw * WAD * WAD, n)),
             FixedDecimal.from_raw(_nearest_isqrt(b.raw * b.raw * WAD * WAD, n)))
-
-
-def _isqrt_diff_squares(a: int, b: int) -> int:
-    """The integer nearest sqrt(a^2 - b^2), for integers with |b| <= |a|."""
-    n = a * a - b * b
-    if n < 0:
-        raise DomainError("sqrt(a^2 - b^2) needs |b| <= |a|")
-    return _nearest_isqrt(n)
 
 
 def _nearest_isqrt(n: int, d: int = 1) -> int:

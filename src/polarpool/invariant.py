@@ -109,11 +109,11 @@ class PoolState:
     """Reserve vector plus the active liquidity scale.
 
     ``angle_deg``, when set, is a two-token circular state's segment key on
-    the tick route: ``init`` sets it, a tick walk that lands on a boundary
-    sets it to that boundary's exact angle, and the CLI saves a tick swap
-    with the angle where it ends. Any other commit leaves None, and the
-    tick route then finds the segment from the reserves, which must lie on
-    the arc.
+    the tick route: ``init`` sets it, a tick walk that ends on an exact
+    angle sets it (see ``ticks.commit_tick_swap``), and the CLI saves a tick
+    swap with the angle where it ends. Any other commit leaves None, and
+    the tick route then finds the segment from the reserves, which must
+    lie on the arc whether or not an angle is set.
     """
 
     reserves: tuple[FixedDecimal, ...]

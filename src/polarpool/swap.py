@@ -3,6 +3,9 @@
 Every Cartesian trade is one call of :func:`pair_swap`: it moves one
 reserve, solves its partner from :func:`other_reserve` (the pair circle,
 the superellipse or the shifted ellipse), and holds every other reserve.
+With more than two tokens the pair circle is the one through the current
+point. Its out-reserve is one correctly rounded root of an exact integer
+radicand, the step the tick walk takes within a segment.
 Quotes are pure: they report amounts and the post-trade reserve vector
 without touching the pool, and a separate :func:`commit` applies them.
 Sign convention throughout: a positive delta adds tokens to that reserve,
@@ -16,21 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DomainError,
-    InsufficientLiquidityError,
-    NumericError,
-)
+from .errors import DomainError, InsufficientLiquidityError, NumericError
 from .fixed import (
     FixedDecimal,
     ONE,
     ZERO,
+    _nearest_isqrt,
     fp_add,
     fp_div,
     fp_mul,
     fp_pow,
-    fp_sqrt,
-    fp_sqrt_diff_squares,
     fp_sub,
 )
 from .invariant import (
@@ -69,30 +67,19 @@ def commit(state: PoolState, quote: SwapQuote) -> PoolState:
     return state.with_reserves(quote.new_reserves)
 
 
-def effective_pair_circle(params: CurveParams, reserves, scale: FixedDecimal,
-                          token_in: int, token_out: int
-                          ) -> tuple[FixedDecimal, FixedDecimal]:
-    """Center offset and radius of the two-token reduction of an n-pool.
-
-    Holding every other reserve fixed, the circular invariant at ``scale``
-    restricts the traded pair to a circle centered at (L, L), L = l * scale,
-    with squared radius L^2 - sum_k (x_k - L)^2 over the spectator tokens.
+def _pair_circle(params: CurveParams, state: PoolState, token: int, other: int
+                 ) -> tuple[int, int]:
+    """Raw (L, R^2) of the circle about (L, L), L = l * scale, that the pair
+    (token, other) trades on with every other reserve held: for two tokens
+    the pool's own circle, R^2 = L^2, which the ledger scales; with more,
+    the circle through the current point, R^2 = (L - x_i)^2 + (L - x_j)^2.
     """
-    i, j = token_pair(params, token_in, token_out)
-    offset = fp_mul(params.l, scale)
+    offset = fp_mul(params.l, state.liquidity_scale).raw
     if params.n == 2:
-        return offset, offset
-    r2 = fp_mul(offset, offset)
-    for k, x in enumerate(reserves):
-        if k in (i, j):
-            continue
-        d = fp_sub(x, offset)
-        r2 = fp_sub(r2, fp_mul(d, d))
-    if r2 <= ZERO:
-        raise InsufficientLiquidityError(
-            "insufficient liquidity: spectator reserves exhaust the sphere"
-        )
-    return offset, fp_sqrt(r2)
+        return offset, offset * offset
+    dx = offset - state.reserves[token].raw
+    dy = offset - state.reserves[other].raw
+    return offset, dx * dx + dy * dy
 
 
 def other_reserve(params: CurveParams, state: PoolState, token: int, other: int,
@@ -104,11 +91,11 @@ def other_reserve(params: CurveParams, state: PoolState, token: int, other: int,
     """
     s = state.liquidity_scale
     if params.mode == "ccmm":
-        offset, radius = effective_pair_circle(params, state.reserves, s, token, other)
-        d = fp_sub(offset, value)
-        if value < ZERO or value > offset or d > radius:
+        offset, radius_sq = _pair_circle(params, state, token, other)
+        d = offset - value.raw
+        if value < ZERO or d < 0 or d * d > radius_sq:
             raise DomainError("reserve outside the circular arc")
-        return fp_sub(offset, fp_sqrt_diff_squares(radius, d))
+        return FixedDecimal.from_raw(offset - _nearest_isqrt(radius_sq - d * d))
     if value < ZERO:
         raise DomainError("negative reserve")
     if params.mode == "csemm":

@@ -10,22 +10,26 @@ over containing positions bit for bit, in any insertion order.
 
 A swap that traverses several tick segments trades each segment on its
 own scaled circle: within a segment the scale is the active liquidity
-there, and at a boundary the virtual reserves re-anchor to the new
-circle at the same angle, which keeps the marginal price (cot of the
-angle) continuous across the crossing. The walk always moves the angle
-up: selling token 1 of a two-token pool is the same walk in the mirror
-angle 90 - phi, on the ledger's mirrored index. The walk searches the
-index once, for the segment that holds its start, and then moves a
-cursor one segment up at each boundary it reaches, the way Uniswap v3
-steps from tick to next initialized tick.
+there, and at a boundary b the walk moves to the new circle's table
+point (round(L' cos b), round(L' sin b)), the point a walk on that circle
+reaches when it lands on b, so the marginal price (cot of the angle)
+stays continuous across the crossing. A start whose scale is not its
+segment's liquidity moves the same way, but only from the segment's
+first boundary; any other such start is refused. The walk always moves
+the angle up: selling token 1 of a two-token pool is the same walk in
+the mirror angle 90 - phi, on the ledger's mirrored index. The walk
+searches the index once, for the segment that holds its start, and then
+moves a cursor one segment up at each boundary it reaches, the way
+Uniswap v3 steps from tick to next initialized tick.
 
 The walk carries the point, not the angle: (x, y) = R (cos phi, sin phi),
 the in- and out-reserves' distances below the centre of a circle of
 radius R, as Python ints in raw units. Selling d moves x to x - d
 exactly, and y follows from one correctly rounded square root of
 R^2 - x^2. Every pool walks its pair circle: for two tokens that is the
-pool's own circle, and a pool with more tokens holds its other reserves
-fixed. The start point comes from the reserves. A boundary's (cos, sin)
+pool's own circle, and a pool with more tokens walks the circle through
+its point that holds its other reserves fixed, the Cartesian route's
+circle. The start point comes from the reserves. A boundary's (cos, sin)
 comes from the process-wide table ``polar.boundary_cos_sin``, shared by
 every ledger and filled one angle at a time on first use; it evaluates
 sin and cos only at angles of at most 45 degrees and swaps the pair of
@@ -39,9 +43,11 @@ x * 10^18 <= R cos b on integers, one bisect over the boundary cosines
 of the index. A walk that lands on a boundary commits its exact angle;
 one that ends inside a segment commits none, so the next trade finds the
 segment from the point, unless the point lies a hair below the
-segment's start, where it commits that start's angle. Degrees are
-formed, correctly rounded, only when a result's angles are read: the
-quote's final angle, the segment trace and the angle a pool file keeps.
+segment's start, where it commits that start's angle, or the other
+token's test places it past the segment's end, where it forms and
+commits its own angle. Degrees are otherwise formed, correctly rounded,
+only when a result's angles are read: the quote's final angle, the
+segment trace and the angle a pool file keeps.
 
 ``route_swap`` is the one entry point for a trade on any route: it
 quotes on the Cartesian, polar or tick route and returns the committed
@@ -71,7 +77,7 @@ from .fixed import (
     ONE,
     ZERO,
     _div,
-    _isqrt_diff_squares,
+    _nearest_isqrt,
     _range_error,
     _round_div,
     fp_add,
@@ -80,7 +86,7 @@ from .fixed import (
 )
 from .invariant import CurveParams, PoolState, invariant_residual, token_pair
 from .polar import NINETY, angle_to_price, arc_point, boundary_cos_sin, point_angle
-from .swap import SwapQuote, commit, effective_pair_circle, pair_swap
+from .swap import SwapQuote, _pair_circle, commit, pair_swap
 
 _NINETY_RAW = NINETY.raw
 
@@ -333,8 +339,9 @@ class TickSwapResult:
     ``fills`` holds each segment as raw ``(liquidity, delta_in, delta_out,
     start, end)``; ``segments`` wraps them when first read. ``end`` is the
     place where the walk ends (see ``_degrees``): an exact angle where it
-    lands on a boundary, ends a hair below its last segment's start or
-    trades nothing from a cached angle, and otherwise its end point.
+    lands on a boundary, ends a hair below its last segment's start or past
+    its end by the other token's test, or trades nothing from a cached
+    angle, and otherwise its end point.
     """
 
     quote: SwapQuote
@@ -358,31 +365,25 @@ class TickSwapResult:
         return _degrees(self.end, self.mirrored)
 
 
-def _reanchor(params: CurveParams, reserves, scale: int, i: int, j: int,
-              x: int, y: int, circle: int) -> tuple[int, int, int, int]:
-    """The raw point (x, y) of a circle of radius ``circle`` moved to the same
-    angle on the pair circle at ``scale``: (offset, radius, x', y')."""
-    offset, radius = (v.raw for v in effective_pair_circle(
-        params, reserves, FixedDecimal.from_raw(scale), i, j))
-    # v * radius / circle, rounded after the product and after the quotient,
-    # either of which overflows where its wrap did
-    px, py = _round_div(x * radius, WAD), _round_div(y * radius, WAD)
-    qx, qy = _round_div(px * WAD, circle), _round_div(py * WAD, circle)
-    if max(abs(px), abs(py), abs(qx), abs(qy)) > MAX_RAW:
-        raise _range_error()
-    return offset, radius, qx, qy
+def _boundary_point(params: CurveParams, scale: int, b: int) -> tuple[int, int, int]:
+    """(L, round(L cos b), round(L sin b)), L = l * scale: where a walk on the
+    two-token circle at raw ``scale`` lands on the raw walk angle ``b``."""
+    offset = fp_mul(params.l, FixedDecimal.from_raw(scale)).raw
+    cos_b, sin_b = boundary_cos_sin(b)
+    return offset, _round_div(offset * cos_b.raw, WAD), _round_div(offset * sin_b.raw, WAD)
 
 
 def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
                       token_in: int, delta_in: FixedDecimal,
                       token_out: int | None = None) -> TickSwapResult:
-    """Trade across tick segments, re-scaling the curve at each crossing.
+    """Trade across tick segments, changing circle at each crossing.
 
     The pool's scale within a segment is the ledger's active liquidity
     there. Runs of the arc with zero liquidity, or the arc ends, stop the
     trade with an insufficient-liquidity error carrying the partial fill.
     Crossings are supported for two-token pools; n-token pools trade
-    pairwise on uniform ledgers.
+    pairwise on uniform ledgers. A start off its segment's circle raises
+    ValidationError unless it stands on the segment's first boundary.
     """
     if params.mode != "ccmm":
         raise ValidationError("tick traversal is defined on circular pools")
@@ -403,17 +404,15 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
 
     # the point (x, y) = circle * (cos phi, sin phi) in walk orientation, in
     # raw units on the pair circle, which for two tokens is the pool's own
-    # circle. A two-token state's cached angle keys its segment; any other
-    # state must lie on its arc, and its point is the key
-    reserves = state.reserves
-    offset, circle = effective_pair_circle(params, reserves, state.liquidity_scale, i, j)
+    # circle and must hold the state's reserves. A two-token state's cached
+    # angle keys its segment; any other state's point is the key
+    reserves, scale = state.reserves, state.liquidity_scale.raw
+    offset, radius_sq = _pair_circle(params, state, i, j)
+    if params.n == 2:
+        arc_point(params, reserves[i], reserves[j], state.liquidity_scale)
+    x, y = offset - reserves[i].raw, offset - reserves[j].raw
+    circle = _nearest_isqrt(radius_sq)
     cached = state.angle_deg if params.n == 2 else None
-    if cached is None and params.n == 2:
-        x, y = (v.raw for v in arc_point(params, reserves[i], reserves[j],
-                                         state.liquidity_scale))
-    else:
-        x, y = offset.raw - reserves[i].raw, offset.raw - reserves[j].raw
-    offset, circle, scale = offset.raw, circle.raw, state.liquidity_scale.raw
 
     # the cursor: segment k - 1 holds the start and raws[k] is the next stop;
     # ``here`` is the place the current segment starts from
@@ -427,8 +426,23 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
         # trade that exhausted the arc left it, trades on the first segment
         k = bisect_right(raws, max(here, 0))
         at_end = here >= _NINETY_RAW
-
     x_0, y_0 = x, y
+
+    # a start off its segment's circle moves to it only from the segment's
+    # first boundary b: a cached b, or a point that the other token's test
+    # places on b too (its own test placed it at or above b)
+    if k and 0 < totals[k - 1] != scale:
+        lo = raws[k - 1]
+        on_lo = (here == lo if cached is not None
+                 else y * WAD <= circle * boundary_cos_sin(lo)[1].raw)
+        if params.n > 2 or not on_lo:
+            raise ValidationError("liquidity_scale disagrees with the ledger")
+        # a zero trade is the zero quote, and stays where it is
+        if delta_in.raw:
+            scale, here = totals[k - 1], lo
+            offset, x, y = _boundary_point(params, scale, lo)
+            circle, radius_sq = offset, offset * offset
+
     remaining = delta_in.raw
     filled_out = 0
     fills = []
@@ -441,17 +455,13 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
                 filled_out=FixedDecimal.from_raw(filled_out),
                 boundary_angle_deg=_degrees(_NINETY_RAW, mirrored),
             )
-        active = totals[k - 1] if k else 0
-        if active <= 0:
+        if (totals[k - 1] if k else 0) <= 0:
             raise InsufficientLiquidityError(
                 "ran out of liquidity at a dead segment",
                 filled_in=FixedDecimal.from_raw(delta_in.raw - remaining),
                 filled_out=FixedDecimal.from_raw(filled_out),
                 boundary_angle_deg=_degrees(here, mirrored),
             )
-        if active != scale:
-            scale = active
-            offset, circle, x, y = _reanchor(params, reserves, scale, i, j, x, y, circle)
 
         # every position's deltas sum to zero, so no liquidity lies above
         # the last boundary and a live segment always has one above it
@@ -462,16 +472,19 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
 
         if remaining < capacity:
             # the trade ends inside the segment, where no angle is formed;
-            # a point a hair below the segment's start, where a re-anchor
-            # can leave it, would key the segment below, so it ends on that
-            # start's exact angle
+            # a point a hair below the segment's start, as a rounded table
+            # point or a loaded pool file's point can be, would key the
+            # segment below, so it ends on that start's exact angle. One
+            # that the other token's test places past the stop would key the
+            # segment above from that token, so it ends on its own angle
             step, x_end = remaining, x - remaining
-            y_end = _isqrt_diff_squares(circle, x_end)
+            y_end = _nearest_isqrt(radius_sq - x_end * x_end)
             lo = raws[k - 1]
-            if x_end * WAD <= circle * boundary_cos_sin(lo)[0].raw:
-                end = _Point(x_end, y_end, lo, stop)
-            else:
+            end = _Point(x_end, y_end, lo, stop)
+            if x_end * WAD > circle * boundary_cos_sin(lo)[0].raw:
                 end = lo
+            elif y_end * WAD > circle * sin_stop.raw:
+                end = _degrees(end, False).raw
         else:
             # the segment fills: land on its boundary
             step, x_end, end = capacity, x_stop, stop
@@ -488,12 +501,13 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
             raise _range_error()
         fills.append((scale, step, out, here, end))
         here, x, y = end, x_end, y_end
+        # a landing goes on from the circle above the boundary, unless that
+        # arc is empty: on it, the walk stands on the boundary's table point
+        if end == stop and 0 < totals[k - 1] != scale:
+            scale = totals[k - 1]
+            offset, x, y = _boundary_point(params, scale, stop)
+            circle, radius_sq = offset, offset * offset
 
-    # the cursor's segment holds the end: a walk that ends on a boundary
-    # goes on from the circle above it, unless that arc is empty
-    if fills and 0 < totals[k - 1] != scale:
-        scale = totals[k - 1]
-        offset, circle, x, y = _reanchor(params, reserves, scale, i, j, x, y, circle)
     new_reserves = list(reserves)
     new_reserves[i] = FixedDecimal.from_raw(offset - x)
     new_reserves[j] = FixedDecimal.from_raw(offset - y)
@@ -523,8 +537,8 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
 def commit_tick_swap(state: PoolState, result: TickSwapResult) -> PoolState:
     """Apply a tick swap: reserves, scale, and an exact end angle.
 
-    A walk that ends on a boundary, or trades nothing from a cached angle,
-    caches that angle; one that ends inside a segment caches none, and the
+    A walk whose end is an exact angle (see ``TickSwapResult.end``) caches
+    it; one that ends inside a segment at a point caches none, and the
     next walk finds the segment from the reserves.
     """
     return PoolState(

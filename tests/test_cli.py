@@ -312,7 +312,7 @@ class TestReplay:
             if len(swapped) == 1:
                 assert load(pool_path).state.angle_deg == F(78)
         assert swapped == replayed
-        assert swapped[1] == "1.931434047973667885"
+        assert swapped[1] == "1.931434047973667881"
 
     def test_bad_header_rejected(self, tmp_path, capsys):
         pool_path = tmp_path / "p.json"
@@ -552,6 +552,22 @@ class TestMalformedInput:
         code, _, err = quote(capsys, pool_path)
         assert code == 2
         assert "invalid input: malformed pool file" in err
+
+    def test_scale_off_the_ledger_refused_on_the_tick_route(self, tmp_path, capsys):
+        # the position's liquidity, 2, is not the stored scale, 1, and the
+        # stored 45 is no boundary of the ledger: the walk may not change
+        # circle there, and a refused swap leaves the pool file as it was
+        def edit(doc):
+            doc["positions"][0]["liquidity"] = "2"
+
+        pool_path = edited_pool(capsys, tmp_path, edit)
+        before = pool_path.read_bytes()
+        for command in ("quote", "swap"):
+            code, out, err = run(capsys, command, "--pool", str(pool_path), "--token-in", "0",
+                                 "--token-out", "1", "--amount", "0.1", "--route", "ticks")
+            assert (code, out) == (2, "")
+            assert err == "invalid input: liquidity_scale disagrees with the ledger\n"
+            assert pool_path.read_bytes() == before
 
     @pytest.mark.parametrize("route", ["cartesian", "polar", "ticks"])
     def test_fewer_reserves_than_tokens(self, tmp_path, capsys, route):

@@ -333,7 +333,6 @@ def lands_on_exact_circle(params, state, quote):
 class TestKnownDefects:
     """Defects reproduced on the engine; each test passes once its defect is mended."""
 
-    @known_defect(5, "the n > 2 pair circle misses the start point", AssertionError)
     def test_n3_one_quantum_sell_quotes_no_negative_amount(self):
         params = CurveParams(n=3)
         reserves = tuple(F(r) for r in ("0.306137971146323821", "0.306137971146323840",

@@ -1,8 +1,10 @@
 """Tick ledger vs brute force; tick swaps vs integration and the exact circle."""
 
 import bisect
+import itertools
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -17,7 +19,7 @@ from polarpool.errors import (
     RangeError,
     ValidationError,
 )
-from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sub
+from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sqrt_diff_squares, fp_sub
 from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
 from polarpool.polar import NINETY, reserves_at_angle
 from polarpool.swap import pair_swap
@@ -357,6 +359,14 @@ def tick_outcome(ledger, state, token_in, delta):
         return err
 
 
+def quote_outcome(params, ledger, state, route, token_in, token_out, delta):
+    """The quote of a trade on ``route``, or its error's class and message."""
+    try:
+        return route_swap(params, ledger, state, route, token_in, token_out, delta)[0]
+    except EngineError as err:
+        return type(err), str(err)
+
+
 def fills(outcome):
     """What a trade pays, segment by segment, or its error: everything but
     the angles it reports."""
@@ -563,6 +573,41 @@ class TestCarriedPairKernel:
         self.assert_angle_of_point(params, result, i, j)
 
     @given(
+        st.lists(st.integers(10 ** 17, 3 * WAD), min_size=3, max_size=3),
+        st.permutations([0, 1, 2]),
+        st.integers(1, 99 * 10 ** 16),
+        st.integers(1, 1000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_n3_routes_step_alike_on_the_circle_through_the_point(self, reserve_raws, order,
+                                                                  share_raw, quanta):
+        # the tick and cartesian routes take one step on the pair circle
+        # through the start point, so they quote alike, errors included, and
+        # a sell of a few quanta never pays a negative amount
+        params = CurveParams(n=3)
+        reserves = tuple(F.from_raw(raw) for raw in reserve_raws)
+        try:
+            scale = solve_ccmm_scale(params, reserves)
+        except EngineError:
+            assume(False)
+        state = PoolState(reserves=reserves, liquidity_scale=scale)
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, scale))
+        i, j = order[0], order[1]
+        offset = fp_mul(params.l, scale).raw
+        radius_sq = (offset - reserves[i].raw) ** 2 + (offset - reserves[j].raw) ** 2
+        room = fp_sub(fp_mul(params.l, scale), reserves[i])
+        for delta in (fp_mul(room, F.from_raw(share_raw)), F.from_raw(quanta)):
+            ticks, cartesian = (quote_outcome(params, ledger, state, route, i, j, delta)
+                                for route in ("ticks", "cartesian"))
+            assert ticks == cartesian
+            if isinstance(cartesian, tuple):
+                continue
+            if delta == F.from_raw(quanta):
+                assert cartesian.amount_out >= ZERO
+            assert circle_step_within(offset, radius_sq, cartesian.new_reserves[i].raw,
+                                      cartesian.new_reserves[j].raw)
+
+    @given(
         st.lists(st.tuples(st.integers(0, 179), st.integers(1, 180),
                            st.integers(10 ** 12, 10 ** 19)), min_size=1, max_size=12),
         st.integers(1, 10 ** 6 - 1),
@@ -680,9 +725,11 @@ class TestCarriedPairKernel:
         assert calls == []
 
     def test_uncached_off_curve_state_refused(self):
+        # a stored angle does not exempt a state from lying on its arc
         ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, ONE))
-        for reserves in ((ONE, F("1.5")), (ONE, F("0.5"))):
-            state = PoolState(reserves=reserves)
+        for reserves, angle in itertools.product(((ONE, F("1.5")), (ONE, F("0.5"))),
+                                                 (None, F(45))):
+            state = PoolState(reserves=reserves, angle_deg=angle)
             for token_in in (0, 1):
                 with pytest.raises(DomainError, match="off-curve point"):
                     swap_across_ticks(CIRCLE, ledger, state, token_in, F("0.1"))
@@ -766,19 +813,19 @@ class TestSegmentCursor:
         assert exact.final_angle_deg == F(45)
         assert commit_tick_swap(state, exact).angle_deg == F(45)
 
-    @given(
+    # seeded ladders of half-degree ranges over a full-range base, a start
+    # angle, the token sold and its share of the room left
+    LADDER_WALKS = (
         st.lists(st.tuples(st.integers(0, 179), st.integers(1, 40),
                            st.integers(10 ** 15, 10 ** 19)), min_size=1, max_size=12),
         st.integers(1, 179 * 10 ** 6 - 1),
         st.sampled_from([0, 1]),
         st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 18)),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_next_trade_starts_where_the_walk_ends(self, spans, where, token_in,
-                                                   share_raw):
-        # seeded ladders over a full-range base, walked from either token:
-        # the next trade from the committed state starts in the walk's final
-        # segment, from the reserves or from the angle a pool file would keep
+
+    @staticmethod
+    def seeded_ladder(spans, where):
+        """The ledger and the parked start state of a ``LADDER_WALKS`` draw."""
         ledger = add_position(TickLedger(grid=TickGrid(spacing_deg=F("0.5"))),
                               LpPosition("base", ZERO, NINETY, ONE))
         half = WAD // 2
@@ -786,7 +833,16 @@ class TestSegmentCursor:
             hi = min(180, lo + span)
             ledger = add_position(ledger, LpPosition(
                 f"h{k}", F.from_raw(lo * half), F.from_raw(hi * half), F.from_raw(liq_raw)))
-        state = parked_state(ledger, F.from_raw(where * half // 10 ** 6))
+        return ledger, parked_state(ledger, F.from_raw(where * half // 10 ** 6))
+
+    @given(*LADDER_WALKS)
+    @settings(max_examples=200, deadline=None)
+    def test_next_trade_starts_where_the_walk_ends(self, spans, where, token_in,
+                                                   share_raw):
+        # seeded ladders over a full-range base, walked from either token:
+        # the next trade from the committed state starts in the walk's final
+        # segment, from the reserves or from the angle a pool file would keep
+        ledger, state = self.seeded_ladder(spans, where)
         room = fp_sub(fp_mul(CIRCLE.l, state.liquidity_scale), state.reserves[token_in])
         result = tick_outcome(ledger, state, token_in,
                               F.from_raw(max(1, room.raw * share_raw // WAD)))
@@ -818,6 +874,30 @@ class TestSegmentCursor:
         assert fills(tick_outcome(ledger, saved, 1 - token_in, F.from_raw(1))) == \
             fills(tick_outcome(ledger, committed, 1 - token_in, F.from_raw(1)))
 
+    @given(*LADDER_WALKS[:3])
+    @settings(max_examples=100, deadline=None)
+    def test_landing_stands_on_the_table_point(self, spans, where, token_in):
+        # the walk to the arc end crosses every boundary above the start; a
+        # trade of its first m segments lands on the m-th stop b and commits
+        # the table point (round(L cos b), round(L sin b)) of its final
+        # circle, in walk orientation, bit for bit
+        ledger, state = self.seeded_ladder(spans, where)
+        with pytest.raises(InsufficientLiquidityError) as info:
+            swap_across_ticks(CIRCLE, ledger, state, token_in, F(10 ** 9))
+        assume(info.value.filled_in > ZERO)
+        segments = swap_across_ticks(CIRCLE, ledger, state, token_in,
+                                     info.value.filled_in).segments
+        for m in range(1, len(segments) + 1):
+            landed = swap_across_ticks(CIRCLE, ledger, state, token_in,
+                                       sum((s.delta_in for s in segments[:m]), ZERO))
+            assert landed.final_angle_deg == segments[m - 1].angle_to_deg
+            b = NINETY - landed.final_angle_deg if token_in == 1 else landed.final_angle_deg
+            cos_b, sin_b = polarpool.polar.boundary_cos_sin(b.raw)
+            offset = fp_mul(CIRCLE.l, landed.final_liquidity).raw
+            reserves = landed.quote.new_reserves
+            assert (offset - reserves[token_in].raw, offset - reserves[1 - token_in].raw) == (
+                round(Fraction(offset * cos_b.raw, WAD)), round(Fraction(offset * sin_b.raw, WAD)))
+
     def test_point_off_a_boundary_from_both_tokens_saves_no_angle(self):
         # a point just past 45 on both axes: each token's test places it on
         # the far side of 45, which no single angle does, so a pool file
@@ -833,11 +913,89 @@ class TestSegmentCursor:
         committed = commit_tick_swap(state, result)
         assert committed.angle_deg is None
         assert file_angle(CIRCLE, ledger, committed, result) is None
-        # from memory each token starts below its own side of 45
+        # from memory token 0 starts below its side of 45, on the state's
+        # circle; token 1 keys the circle above 45, and the point stands on
+        # 45 by neither test, so it may not move there
         assert swap_across_ticks(CIRCLE, ledger, committed, 0, F.from_raw(1)) \
             .segments[0].liquidity == F(1000)
-        assert swap_across_ticks(CIRCLE, ledger, committed, 1, F.from_raw(1)) \
-            .segments[0].liquidity == F(2000)
+        with pytest.raises(ValidationError, match="liquidity_scale disagrees"):
+            swap_across_ticks(CIRCLE, ledger, committed, 1, F.from_raw(1))
+
+
+class TestCircleChange:
+    """A walk changes circle only on a boundary, onto that boundary's table point."""
+
+    @pytest.mark.parametrize("angle", [F(30), None], ids=["cached", "point"])
+    def test_in_segment_scale_off_the_ledger_refused(self, angle):
+        # liquidity 5 holds 30 degrees; a state there at scale 8 stands on
+        # no boundary, so neither token may trade it onto another circle
+        ledger = make_fig3_ledger()
+        state = PoolState(reserves=reserves_at_angle(CIRCLE, F(30), F(8)),
+                          liquidity_scale=F(8), angle_deg=angle)
+        for token_in in (0, 1):
+            with pytest.raises(ValidationError, match="liquidity_scale disagrees with the ledger"):
+                swap_across_ticks(CIRCLE, ledger, state, token_in, F("0.1"))
+
+    def test_end_past_the_stop_by_the_other_test_keeps_its_angle(self):
+        # trades that end a few quanta short of 67 on the circle below it:
+        # where token 1's test places the end past 67, the walk commits the
+        # end's angle, so both tokens trade on from the circle below 67
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, ONE))
+        ledger = add_position(ledger, LpPosition("top", F(67), NINETY, ONE))
+        state = parked_state(ledger, F("66.5"))
+        offset = fp_mul(CIRCLE.l, ONE).raw
+        cos_67, sin_67 = polarpool.polar.boundary_cos_sin(67 * WAD)
+        to_stop = offset - state.reserves[0].raw - round(Fraction(offset * cos_67.raw, WAD))
+        past = 0
+        for short in range(1, 40):
+            result = swap_across_ticks(CIRCLE, ledger, state, 0, F.from_raw(to_stop - short))
+            after = commit_tick_swap(state, result)
+            if (offset - after.reserves[1].raw) * WAD <= offset * sin_67.raw:
+                assert after.angle_deg is None
+                continue
+            past += 1
+            assert after.angle_deg == result.final_angle_deg < F(67)
+            for token_in in (0, 1):
+                assert swap_across_ticks(CIRCLE, ledger, after, token_in, F.from_raw(1)) \
+                    .segments[0].liquidity == ONE
+        assert past > 0
+
+    def test_n3_scale_off_its_base_liquidity_refused(self):
+        params = CurveParams(n=3)
+        reserves = (ONE, ONE, ONE)
+        scale = solve_ccmm_scale(params, reserves)
+        state = PoolState(reserves=reserves, liquidity_scale=scale)
+        for liquidity in (scale + F.from_raw(1), scale - F.from_raw(1)):
+            ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, liquidity))
+            with pytest.raises(ValidationError, match="liquidity_scale disagrees with the ledger"):
+                route_swap(params, ledger, state, "ticks", 0, 1, F("0.1"))
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored-angle", "point"])
+    def test_boundary_read_from_the_other_side_trades(self, stored):
+        # the state stands on 40 at the scale above it, 8, by a stored angle
+        # or by a point both tokens' tests place on 40. A token-1 sell keys
+        # the segment below 40 and trades from 40's table point on the
+        # circle of scale 5, as a state parked there does
+        ledger = make_fig3_ledger()
+        if stored:
+            state = parked_state(ledger, F(40))
+        else:
+            offset = fp_mul(CIRCLE.l, F(8)).raw
+            cos_40, sin_40 = polarpool.polar.boundary_cos_sin(40 * WAD)
+            x, y = offset * cos_40.raw // WAD, offset * sin_40.raw // WAD
+            state = PoolState(reserves=(F.from_raw(offset - x), F.from_raw(offset - y)),
+                              liquidity_scale=F(8))
+        assert state.liquidity_scale == F(8)
+        below = PoolState(reserves=reserves_at_angle(CIRCLE, F(40), F(5)),
+                          liquidity_scale=F(5), angle_deg=F(40))
+        result = swap_across_ticks(CIRCLE, ledger, state, 1, F("0.5"))
+        want = swap_across_ticks(CIRCLE, ledger, below, 1, F("0.5"))
+        assert result.segments[0].liquidity == F(5)
+        assert result.segments == want.segments
+        assert result.quote.new_reserves == want.quote.new_reserves
+        assert result.quote.amount_out == want.quote.amount_out
+        # token 0 trades on from the state's own circle
+        assert swap_across_ticks(CIRCLE, ledger, state, 0, F("0.1")).segments[0].liquidity == F(8)
 
 
 class TestIntegerKernel:
@@ -845,29 +1003,43 @@ class TestIntegerKernel:
 
     @staticmethod
     def crossing(liquidity):
-        # a full-range base and as much again above 45 degrees, from 44
+        # a full-range base and as much again above 45 degrees, from the
+        # point at 44 whose out-reserve is the exact circle's: at these
+        # scales the rounding of cos 44 alone moves a point at 44 off the
+        # curve's tolerance
         ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, liquidity))
         ledger = add_position(ledger, LpPosition("top", F(45), NINETY, liquidity))
-        state = PoolState(reserves=reserves_at_angle(CIRCLE, F(44), liquidity),
-                          liquidity_scale=liquidity, angle_deg=F(44))
+        offset = fp_mul(CIRCLE.l, liquidity)
+        x = fp_sub(offset, reserves_at_angle(CIRCLE, F(44), liquidity)[0])
+        state = PoolState(reserves=(offset - x, offset - fp_sqrt_diff_squares(offset, x)),
+                          liquidity_scale=liquidity)
         room = fp_sub(fp_mul(CIRCLE.l, liquidity), state.reserves[0])
         return ledger, state, fp_mul(room, F("0.5"))
 
     @pytest.mark.parametrize("liquidity, overflows", [
-        # the re-anchor at 45 multiplies x by the new radius: about
-        # 2 (l s)^2 cos 44 in squared raw units, 6.7e55 at s = 2e9 and
-        # 1.5e56 at s = 3e9, against the 1e56 a product may reach
+        # the crossing at 45 puts the walk on the table point of the circle
+        # above, whose centre offset l * 2 s leaves the range once s is
+        # above 1e20 / (2 l), about 1.46e19
         ("2000000000", False),
-        ("3000000000", True),
+        ("3000000000", False),
+        ("15000000000000000000", True),
     ])
-    def test_reanchor_product_overflows_as_its_wrap_did(self, liquidity, overflows):
+    def test_crossing_overflows_where_l_scale_does(self, liquidity, overflows):
         ledger, state, delta = self.crossing(F(liquidity))
         if overflows:
+            # the circle below 45 is in range; the one above is not
+            assert len(swap_across_ticks(CIRCLE, ledger, state, 0, ONE).segments) == 1
             with pytest.raises(RangeError, match="exceeds 1e20"):
                 swap_across_ticks(CIRCLE, ledger, state, 0, delta)
-        else:
-            result = swap_across_ticks(CIRCLE, ledger, state, 0, delta)
-            assert [s.liquidity for s in result.segments] == [F(liquidity), F(liquidity) + F(liquidity)]
+            return
+        result = swap_across_ticks(CIRCLE, ledger, state, 0, delta)
+        below, above = result.segments
+        assert (below.liquidity, above.liquidity) == (F(liquidity), F(liquidity) + F(liquidity))
+        assert below.angle_to_deg == above.angle_from_deg == F(45)
+        # the second segment starts from L' - round(L' cos 45) on the circle above
+        offset = fp_mul(CIRCLE.l, above.liquidity).raw
+        x_45 = round(Fraction(offset * polarpool.polar.boundary_cos_sin(45 * WAD)[0].raw, WAD))
+        assert result.quote.new_reserves[0].raw == offset - x_45 + above.delta_in.raw
 
     @pytest.mark.parametrize("scale, overflows", [
         # price cot(phi) = x / y with y one quantum: above 1e20 once x is
