@@ -86,9 +86,8 @@ def cmd_init(args) -> int:
              "shifted": solve_shifted_scale}[args.mode]
     scale = solve(params, reserves)
 
-    angle = None
-    if n == 2 and params.mode == "ccmm":
-        angle = cartesian_to_polar(params, reserves[0], reserves[1], scale)
+    angle = (cartesian_to_polar(params, *reserves, scale)
+             if n == 2 and params.mode == "ccmm" else None)
     state = PoolState(reserves=reserves, liquidity_scale=scale, angle_deg=angle)
     residual = invariant_residual(params, state)
 

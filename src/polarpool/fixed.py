@@ -52,7 +52,6 @@ __all__ = [
     "fp_mul",
     "fp_div",
     "fp_sqrt",
-    "fp_sqrt_diff_squares",
     "fp_hypot",
     "fp_unit",
     "fp_pow",
@@ -284,19 +283,6 @@ def fp_sqrt(a: FixedDecimal) -> FixedDecimal:
     if a.raw < 0:
         raise DomainError("sqrt of negative value")
     return FixedDecimal.from_raw(_nearest_isqrt(a.raw * WAD))
-
-
-def fp_sqrt_diff_squares(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:
-    """sqrt(a^2 - b^2) for |b| <= |a|, correctly rounded.
-
-    The radicand is exact in squared raw units, so the result carries one
-    rounding. fp_sqrt of a rounded a^2 - b^2 would carry two, the first
-    amplified by 1 / (2 sqrt(a^2 - b^2)) as |b| nears |a|.
-    """
-    n = a.raw * a.raw - b.raw * b.raw
-    if n < 0:
-        raise DomainError("sqrt(a^2 - b^2) needs |b| <= |a|")
-    return FixedDecimal.from_raw(_nearest_isqrt(n))
 
 
 def fp_hypot(a: FixedDecimal, b: FixedDecimal) -> FixedDecimal:

@@ -43,7 +43,8 @@ from .fixed import (
 
 F = FixedDecimal
 
-#: residual magnitude at or below this counts as "on-curve" everywhere
+#: on-curve bound: on the unit curve's residual for csemm and shifted pools,
+#: on the radial distance over max(1, L) for circles (``polar.circle_point``)
 ON_CURVE_TOLERANCE = F("0.000000001")
 
 MODES = ("ccmm", "csemm", "shifted")

@@ -36,11 +36,12 @@ from .fixed import (
     FixedDecimal,
     ONE,
     PI,
+    WAD,
     ZERO,
+    _nearest_isqrt,
     fp_add,
     fp_atan2,
     fp_div,
-    fp_hypot,
     fp_mul,
     fp_sin_cos,
     fp_sqrt,
@@ -125,28 +126,34 @@ def reserves_at_angle(params: CurveParams, angle_deg: FixedDecimal,
     return x, y
 
 
+def circle_point(params: CurveParams, reserves, scale: FixedDecimal = ONE) -> list[int]:
+    """Raw point (L - x_i)_i of a circular pool's reserves, L = l * scale.
+
+    The on-curve rule of every route's start and of ``init``, for any n:
+    each L - x_i is non-negative, and the rounded radius is within
+    ON_CURVE_TOLERANCE * max(1, L) of L, as a table point's error scales.
+    """
+    offset = fp_mul(params.l, scale).raw
+    ds = [offset - x.raw for x in reserves]
+    if min(ds) < 0:
+        raise DomainError("point outside the trading quadrant")
+    radius = _nearest_isqrt(sum(d * d for d in ds))
+    if abs(radius - offset) * WAD > ON_CURVE_TOLERANCE.raw * max(offset, WAD):
+        raise DomainError("off-curve point: radius deviates from l*scale")
+    return ds
+
+
 def arc_point(params: CurveParams, x: FixedDecimal, y: FixedDecimal,
               scale: FixedDecimal = ONE) -> tuple[FixedDecimal, FixedDecimal]:
-    """The point R (cos phi, sin phi) = (L - x, L - y) of an on-curve reserve pair.
-
-    L = l * scale. Rejects points outside the trading quadrant and points
-    whose distance from the center deviates from L by more than the
-    on-curve tolerance. Either reserve may come first: the point of
-    (y, x) is the mirror of the point of (x, y).
-    """
-    offset = fp_mul(params.l, scale)
-    dx = fp_sub(offset, x)
-    dy = fp_sub(offset, y)
-    if dx < ZERO or dy < ZERO:
-        raise DomainError("point outside the trading quadrant")
-    if abs(fp_sub(fp_hypot(dx, dy), offset)) > ON_CURVE_TOLERANCE:
-        raise DomainError("off-curve point: radius deviates from l*scale")
-    return dx, dy
+    """The point R (cos phi, sin phi) = (L - x, L - y) of a reserve pair
+    that passes :func:`circle_point`; the point of (y, x) is its mirror."""
+    dx, dy = circle_point(params, (x, y), scale)
+    return FixedDecimal.from_raw(dx), FixedDecimal.from_raw(dy)
 
 
 def cartesian_to_polar(params: CurveParams, x: FixedDecimal, y: FixedDecimal,
                        scale: FixedDecimal = ONE) -> FixedDecimal:
-    """Angle in degrees of an on-curve reserve point (see :func:`arc_point`)."""
+    """Angle in degrees of a reserve pair on the arc (see :func:`arc_point`)."""
     return point_angle(*arc_point(params, x, y, scale))
 
 

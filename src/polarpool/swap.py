@@ -40,6 +40,7 @@ from .invariant import (
     spot_price,
     token_pair,
 )
+from .polar import circle_point
 
 F = FixedDecimal
 
@@ -146,8 +147,13 @@ def pair_swap(params: CurveParams, state: PoolState, token: int,
     that token into the pool for ``other``, negative buys it out of the
     pool and solves what ``other`` must pay. ``other`` defaults to the
     second token of a two-token pool and is required when n > 2.
+    A circular start must pass ``polar.circle_point``; the step then lands
+    within half a quantum of its pair circle, so only the other curves'
+    inexact steps check the residual after the trade.
     """
     token, other = token_pair(params, token, other)
+    if params.mode == "ccmm":
+        circle_point(params, state.reserves, state.liquidity_scale)
     token_in, token_out = (token, other) if delta >= ZERO else (other, token)
     if delta.is_zero():
         price = spot_price(params, state, token_in, token_out)
@@ -172,7 +178,8 @@ def pair_swap(params: CurveParams, state: PoolState, token: int,
         amount_in, amount_out = fp_sub(partner, reserves[other]), -delta
     reserves[token], reserves[other] = value, partner
     new_state = state.with_reserves(reserves)
-    _verify_on_curve(params, new_state)
+    if params.mode != "ccmm":
+        _verify_on_curve(params, new_state)
     return SwapQuote(
         token_in=token_in,
         token_out=token_out,

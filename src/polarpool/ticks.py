@@ -85,7 +85,7 @@ from .fixed import (
     fp_sub,
 )
 from .invariant import CurveParams, PoolState, invariant_residual, token_pair
-from .polar import NINETY, angle_to_price, arc_point, boundary_cos_sin, point_angle
+from .polar import NINETY, angle_to_price, boundary_cos_sin, circle_point, point_angle
 from .swap import SwapQuote, _pair_circle, commit, pair_swap
 
 _NINETY_RAW = NINETY.raw
@@ -382,8 +382,8 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
     there. Runs of the arc with zero liquidity, or the arc ends, stop the
     trade with an insufficient-liquidity error carrying the partial fill.
     Crossings are supported for two-token pools; n-token pools trade
-    pairwise on uniform ledgers. A start off its segment's circle raises
-    ValidationError unless it stands on the segment's first boundary.
+    pairwise on uniform ledgers. A start must pass ``polar.circle_point``,
+    and one off its segment's liquidity must stand on its first boundary.
     """
     if params.mode != "ccmm":
         raise ValidationError("tick traversal is defined on circular pools")
@@ -404,12 +404,11 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
 
     # the point (x, y) = circle * (cos phi, sin phi) in walk orientation, in
     # raw units on the pair circle, which for two tokens is the pool's own
-    # circle and must hold the state's reserves. A two-token state's cached
-    # angle keys its segment; any other state's point is the key
+    # circle. A two-token state's cached angle keys its segment; any other
+    # state's point is the key
     reserves, scale = state.reserves, state.liquidity_scale.raw
+    circle_point(params, reserves, state.liquidity_scale)
     offset, radius_sq = _pair_circle(params, state, i, j)
-    if params.n == 2:
-        arc_point(params, reserves[i], reserves[j], state.liquidity_scale)
     x, y = offset - reserves[i].raw, offset - reserves[j].raw
     circle = _nearest_isqrt(radius_sq)
     cached = state.angle_deg if params.n == 2 else None

@@ -102,6 +102,25 @@ class TestQuoteSwap:
         quote = json.loads(out)
         assert F(quote["route_diff_vs_cartesian"]).raw <= 10 ** 9
 
+    @pytest.mark.parametrize("extra, amount, amount_out", [
+        # the default three-token pool sits 0.91 quanta off its circle
+        (("--n", "3"), "0.1", "0.093162892680868937"),
+        # far above L = 1 the on-circle bound scales with L
+        (("--reserves", "1000000000,1000000000"), "12345.678", "12345.614867645743758999"),
+        (("--n", "3", "--reserves", "1000000000,1000000000,1000000000"), "12345.678",
+         "12345.566424924314216831"),
+    ])
+    def test_init_pools_quote_on_every_route(self, tmp_path, capsys, extra, amount,
+                                             amount_out):
+        init_pool(capsys, tmp_path / "p.json", *extra)
+        for route in ("cartesian", "polar", "ticks"):
+            code, out, err = run(
+                capsys, "quote", "--pool", str(tmp_path / "p.json"),
+                "--token-in", "0", "--token-out", "1", "--amount", amount, "--route", route,
+            )
+            assert code == 0, (route, err)
+            assert json.loads(out)["amount_out"] == amount_out, route
+
     def test_swap_and_reverse_restores_reserves(self, tmp_path, capsys):
         pool_path = tmp_path / "p.json"
         init_pool(capsys, pool_path)

@@ -32,7 +32,6 @@ from polarpool.fixed import (
     fp_pow,
     fp_sin_cos,
     fp_sqrt,
-    fp_sqrt_diff_squares,
     fp_sub,
     fp_unit,
 )
@@ -222,21 +221,6 @@ class TestSqrt:
             # squared result stays within 2 ulps at the value's own scale
             err = abs(s * s - n)  # in 1e-36 units
             assert err <= 2 * max(raw, WAD)
-
-    @given(st.integers(min_value=0, max_value=10 ** 21), st.integers(min_value=0, max_value=WAD))
-    @settings(max_examples=300)
-    def test_diff_squares_correctly_rounded(self, a_raw, share_raw):
-        b_raw = a_raw * share_raw // WAD
-        s = fp_sqrt_diff_squares(F.from_raw(a_raw), F.from_raw(-b_raw)).raw
-        n = a_raw * a_raw - b_raw * b_raw
-        # nearest grid point to sqrt(a^2 - b^2)
-        assert root_within(s, n)
-
-    def test_diff_squares_domain(self):
-        assert fp_sqrt_diff_squares(F(5), F(4)) == F(3)
-        assert fp_sqrt_diff_squares(ONE, ONE) == ZERO
-        with pytest.raises(DomainError):
-            fp_sqrt_diff_squares(ONE, F.from_raw(WAD + 1))
 
     @given(st.integers(min_value=0, max_value=10 ** 21), st.integers(min_value=1, max_value=10 ** 21))
     @settings(max_examples=300)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarpool.errors import DomainError
-from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sub
-from polarpool.invariant import CurveParams, PoolState, ccmm_residual
+from polarpool.errors import DomainError, InsufficientLiquidityError, RangeError
+from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, _nearest_isqrt, fp_mul, fp_sub
+from polarpool.invariant import CurveParams, PoolState, ccmm_residual, solve_ccmm_scale
 from polarpool.polar import (
     NINETY,
     angle_to_price,
@@ -18,13 +18,14 @@ from polarpool.polar import (
     arc_point,
     boundary_cos_sin,
     cartesian_to_polar,
+    circle_point,
     point_angle,
     polar_swap_delta_y,
     price_to_angle,
     reserves_at_angle,
 )
 from polarpool.swap import commit, pair_swap, y_of_x
-from polarpool.ticks import TickLedger, route_swap
+from polarpool.ticks import LpPosition, TickLedger, add_position, route_swap
 from reference import circle_step_within, spread_raws, to_mp
 
 F = FixedDecimal
@@ -106,6 +107,69 @@ class TestCartesianPolar:
         for k in range(1, 90):
             x, y = reserves_at_angle(CIRCLE, F(k))
             assert abs(cartesian_to_polar(CIRCLE, x, y).raw - k * WAD) <= 10 ** 6
+
+
+class TestCircleRule:
+    """The one on-circle rule that every circular route checks at its start."""
+
+    @staticmethod
+    def radius_error(params, state):
+        """|sqrt(sum (L - x_i)^2) - L| in quanta, the root correctly rounded."""
+        ds = circle_point(params, state.reserves, state.liquidity_scale)
+        return abs(_nearest_isqrt(sum(d * d for d in ds))
+                   - fp_mul(params.l, state.liquidity_scale).raw)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.sampled_from([2, 3]), k=st.integers(-6, 12),
+           units=st.lists(st.integers(5 * 10 ** 8, 15 * 10 ** 8), min_size=3, max_size=3),
+           permille=st.integers(1, 500))
+    def test_init_pools_quote_alike_on_every_route(self, n, k, units, permille):
+        # reserves 10^k * U[0.5, 1.5], as init puts them on the circle
+        params = CurveParams(n=n)
+        reserves = tuple(F.from_raw(u * 10 ** (k + 9)) for u in units[:n])
+        try:
+            scale = solve_ccmm_scale(params, reserves)
+        except RangeError:
+            # the solver squares the reserves' sum, past the 1e20 range
+            assert k >= 10
+            return
+        angle = cartesian_to_polar(params, *reserves, scale) if n == 2 else None
+        state = PoolState(reserves, liquidity_scale=scale, angle_deg=angle)
+        ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, scale))
+        amount = fp_mul(reserves[0], F.from_fraction(permille, 1000))
+        quotes = [route_swap(params, ledger, state, route, 0, 1, amount)[0]
+                  for route in ("cartesian", "polar", "ticks")]
+        assert quotes[0] == quotes[1]
+        assert quotes[0].amount_out == quotes[2].amount_out
+        assert quotes[0].new_reserves == quotes[2].new_reserves
+
+    def test_n3_pair_swap_chain_stays_on_the_circle(self):
+        # each pair step rounds one reserve onto the circle through the
+        # point, which moves the point's radius by at most about half a quantum
+        params = CurveParams(n=3)
+        reserves = (ONE, ONE, ONE)
+        state = PoolState(reserves, liquidity_scale=solve_ccmm_scale(params, reserves))
+        start = self.radius_error(params, state)
+        rng = random.Random(25)
+        for trade in range(1, 2001):
+            i, j = rng.sample(range(3), 2)
+            delta = F.from_raw(rng.randrange(-WAD // 4, WAD // 4))
+            try:
+                state = commit(state, pair_swap(params, state, i, delta, j))
+            except InsufficientLiquidityError:
+                continue
+            assert self.radius_error(params, state) <= start + (trade + 1) // 2
+
+    @pytest.mark.parametrize("scale", ["0.001", "1", "1000", "1000000000"])
+    def test_bound_is_relative_to_max_of_one_and_l(self, scale):
+        # the point (L - e, 0) of the reserves (e, L) lies e inside the circle
+        scale = F(scale)
+        offset = fp_mul(CIRCLE.l, scale).raw
+        bound = 10 ** 9 * max(offset, WAD) // WAD
+        reserves = (F.from_raw(bound), F.from_raw(offset))
+        assert circle_point(CIRCLE, reserves, scale) == [offset - bound, 0]
+        with pytest.raises(DomainError, match="off-curve point"):
+            circle_point(CIRCLE, (F.from_raw(bound + 1), F.from_raw(offset)), scale)
 
 
 class TestArcPoints:

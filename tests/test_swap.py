@@ -373,10 +373,10 @@ class TestKnownDefects:
             assert quote.amount_out > ZERO, route
             assert lands_on_exact_circle(pool.params, pool.state, quote), route
 
-    @known_defect(5, "a pool file off its curve trades", AssertionError)
     def test_off_curve_pool_file_refused(self, tmp_path, capsys):
-        # reserves[1] set to 0.5 quotes amount_out -0.403980537886959995; set to
-        # 1.5 it pays 0.596019462113040005 where the curve gives 0.096019462113040005
+        # reserves[1] set to 0.5 once quoted amount_out -0.403980537886959995;
+        # set to 1.5 it paid 0.596019462113040005 where the curve gives
+        # 0.096019462113040005. Every route checks its start on the circle
         pool_path = tmp_path / "p.json"
         assert cli_main(["init", "--pool", str(pool_path)]) == 0
         doc = json.loads(pool_path.read_text())

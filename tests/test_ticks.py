@@ -19,7 +19,7 @@ from polarpool.errors import (
     RangeError,
     ValidationError,
 )
-from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, fp_mul, fp_sqrt_diff_squares, fp_sub
+from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, _nearest_isqrt, fp_mul, fp_sub
 from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
 from polarpool.polar import NINETY, reserves_at_angle
 from polarpool.swap import pair_swap
@@ -1004,14 +1004,14 @@ class TestIntegerKernel:
     @staticmethod
     def crossing(liquidity):
         # a full-range base and as much again above 45 degrees, from the
-        # point at 44 whose out-reserve is the exact circle's: at these
-        # scales the rounding of cos 44 alone moves a point at 44 off the
-        # curve's tolerance
+        # point at 44 whose out-reserve is the exact circle's, the nearest
+        # root of the exact radicand
         ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, liquidity))
         ledger = add_position(ledger, LpPosition("top", F(45), NINETY, liquidity))
         offset = fp_mul(CIRCLE.l, liquidity)
         x = fp_sub(offset, reserves_at_angle(CIRCLE, F(44), liquidity)[0])
-        state = PoolState(reserves=(offset - x, offset - fp_sqrt_diff_squares(offset, x)),
+        y = FixedDecimal.from_raw(_nearest_isqrt(offset.raw ** 2 - x.raw ** 2))
+        state = PoolState(reserves=(offset - x, offset - y),
                           liquidity_scale=liquidity)
         room = fp_sub(fp_mul(CIRCLE.l, liquidity), state.reserves[0])
         return ledger, state, fp_mul(room, F("0.5"))
