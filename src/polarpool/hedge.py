@@ -24,7 +24,7 @@ a ``FixedDecimal`` only for each output sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import DomainError, RangeError, ValidationError
 from .fixed import (
@@ -139,7 +139,7 @@ def build_hedge(params: CurveParams, ledger: TickLedger,
                 spec: HedgeSpec) -> tuple[LpPosition, LpPosition, TickLedger]:
     """Construct the spread and register both legs in the ledger."""
     long_leg, short_leg = hedge_legs(params, ledger.grid, spec)
-    ledger = replace(ledger, positions=ledger.positions + (long_leg, short_leg))
+    ledger = TickLedger(ledger.grid, ledger.positions + (long_leg, short_leg))
     return long_leg, short_leg, ledger
 
 

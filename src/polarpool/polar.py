@@ -78,8 +78,13 @@ def boundary_cos_sin(raw: int) -> tuple[FixedDecimal, FixedDecimal]:
     """:func:`arc_cos_sin` of the angle ``raw`` (raw degrees in [0, 90]).
 
     A process-wide table over tick boundaries, filled one angle at a time
-    on first use.
+    on first use. Only angles of at most 45 degrees are evaluated: an angle
+    b above reads the entry of 90 - b, swapped, as ``arc_cos_sin`` does, so
+    b and 90 - b share one evaluation.
     """
+    if 2 * raw > NINETY.raw:
+        cos_m, sin_m = boundary_cos_sin(NINETY.raw - raw)
+        return sin_m, cos_m
     return arc_cos_sin(FixedDecimal.from_raw(raw))
 
 

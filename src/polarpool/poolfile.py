@@ -4,24 +4,28 @@ This is the only module that knows the pool-file format: ``dumps`` builds
 the whole document and ``loads`` reads it back. Serialization is
 canonical (sorted keys, two-space indent, trailing newline) so identical
 pools produce byte-identical files and replay runs can be diffed.
-``loads`` rejects unknown format versions and builds every record through
-its constructor, so a loaded pool obeys the rules of a built one, and a
-malformed file raises an engine error, never a bare ``KeyError`` or
-``ValueError``. ``save`` is atomic: a failed save leaves the old file.
+``loads`` rejects unknown format versions. It builds params, state and
+grid through their constructors, and reads the positions in one pass on
+raw integers: each row is parsed, checked by the rules ``LpPosition`` and
+``TickLedger`` apply, and indexed, and ``LpPosition`` objects are built
+only if the ledger's positions are read. So a loaded pool obeys the rules
+of a built one and equals it, and a malformed file raises an engine
+error, never a bare ``KeyError`` or ``ValueError``. ``save`` is atomic: a
+failed save leaves the old file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EngineError, ShapeError, ValidationError
 from .fixed import FixedDecimal
 from .invariant import CurveParams, PoolState
-from .ticks import LpPosition, TickGrid, TickLedger
+from .ticks import TickGrid, TickLedger
 
 F = FixedDecimal
 
@@ -37,6 +41,8 @@ class PoolFile:
 
 def dumps(pool: PoolFile) -> str:
     params, state, ledger = pool.params, pool.state, pool.ledger
+    # bounds repeat from position to position, so each value is formatted once
+    text = {raw: str(F.from_raw(raw)) for raw in {v for row in ledger.rows for v in row[1:4]}}
     doc = {
         "format_version": FORMAT_VERSION,
         "n": params.n,
@@ -50,9 +56,9 @@ def dumps(pool: PoolFile) -> str:
         "angle_deg": str(state.angle_deg) if state.angle_deg is not None else None,
         "tick_spacing_deg": str(ledger.grid.spacing_deg),
         "positions": [
-            {"id": p.id, "lower_deg": str(p.lower_deg), "upper_deg": str(p.upper_deg),
-             "liquidity": str(p.liquidity), "side": p.side}
-            for p in ledger.positions
+            {"id": pid, "lower_deg": text[lower], "upper_deg": text[upper],
+             "liquidity": text[liquidity], "side": side}
+            for pid, lower, upper, liquidity, side in ledger.rows
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -62,6 +68,26 @@ def _json_list(value, key: str) -> list:
     if not isinstance(value, list):
         raise TypeError(f"{key} must be a JSON list")
     return value
+
+
+def _position_rows(positions: list):
+    """The raw rows (id, lower, upper, liquidity, side) of a file's positions,
+    parsed as ``LpPosition(str(id), F(lower), F(upper), F(liquidity), side)``
+    would parse them, one position at a time. Bounds repeat from position
+    to position, so each distinct decimal string is parsed once."""
+    parsed: dict[str, int] = {}
+
+    def raw(value) -> int:
+        if type(value) is not str:
+            return F(value).raw
+        known = parsed.get(value)
+        if known is None:
+            known = parsed[value] = F(value).raw
+        return known
+
+    for p in positions:
+        yield (str(p["id"]), raw(p["lower_deg"]), raw(p["upper_deg"]), raw(p["liquidity"]),
+               p.get("side", "long"))
 
 
 def loads(text: str) -> PoolFile:
@@ -86,20 +112,17 @@ def loads(text: str) -> PoolFile:
             beta=F(doc["beta"]),
             c=F(doc["c"]),
         )
+        angle = doc.get("angle_deg")
         state = PoolState(
             reserves=tuple(F(r) for r in _json_list(doc["reserves"], "reserves")),
             liquidity_scale=F(doc["liquidity_scale"]),
-            angle_deg=F(doc["angle_deg"]) if doc.get("angle_deg") else None,
+            angle_deg=None if angle is None else F(angle),
         )
         if len(state.reserves) != params.n:
             raise ShapeError(f"expected {params.n} reserves, got {len(state.reserves)}")
         grid = TickGrid(spacing_deg=F(doc["tick_spacing_deg"]))
-        positions = tuple(
-            LpPosition(str(p["id"]), F(p["lower_deg"]), F(p["upper_deg"]),
-                       F(p["liquidity"]), p.get("side", "long"))
-            for p in _json_list(doc["positions"], "positions")
-        )
-        ledger = TickLedger(grid=grid, positions=positions)
+        ledger = TickLedger.from_rows(
+            grid, _position_rows(_json_list(doc["positions"], "positions")))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not a JSON pool file: {exc}") from exc
     except EngineError:
@@ -125,7 +148,7 @@ def save(path: str | Path, pool: PoolFile) -> None:
         with fh:
             fh.write(text)
         if path.exists():
-            shutil.copymode(path, tmp)
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -2,11 +2,13 @@
 
 Liquidity lives on angle ranges: a position contributes its liquidity to
 the pool's scale at every angle in [lower, upper) (half-open, so a
-boundary belongs to the segment above it). Each ledger indexes its
-aggregate liquidity once, on first use: the sorted boundary angles and
-the prefix sums of the signed deltas there, searched with bisect. Since
-fixed-point addition is exact, the prefix sums match a brute-force sum
-over containing positions bit for bit, in any insertion order.
+boundary belongs to the segment above it). Each ledger keeps its
+positions as raw rows and indexes its aggregate liquidity once, in the
+pass that checks them when it is built or loaded: the sorted boundary
+angles and the prefix sums of the signed deltas there, searched with
+bisect. Since fixed-point addition is exact, the prefix sums match a
+brute-force sum over containing positions bit for bit, in any insertion
+order.
 
 A swap that traverses several tick segments trades each segment on its
 own scaled circle: within a segment the scale is the active liquidity
@@ -39,15 +41,15 @@ raises RangeError exactly where a wrap of each step's value would.
 
 A trade forms no angle. A two-token state's cached angle keys its start
 segment; any other state's point does, since phi >= b exactly when
-x * 10^18 <= R cos b on integers, one bisect over the boundary cosines
-of the index. A walk that lands on a boundary commits its exact angle;
-one that ends inside a segment commits none, so the next trade finds the
-segment from the point, unless the point lies a hair below the
-segment's start, where it commits that start's angle, or the other
-token's test places it past the segment's end, where it forms and
-commits its own angle. Degrees are otherwise formed, correctly rounded,
-only when a result's angles are read: the quote's final angle, the
-segment trace and the angle a pool file keeps.
+x * 10^18 <= R cos b on integers: one bisect over the boundaries of the
+index, which reads only the cosines it probes. A walk that lands on a
+boundary commits its exact angle; one that ends inside a segment commits
+none, so the next trade finds the segment from the point, unless the
+point lies a hair below the segment's start, where it commits that
+start's angle, or the other token's test places it past the segment's
+end, where it forms and commits its own angle. Degrees are otherwise
+formed, correctly rounded, only when a result's angles are read: the
+quote's final angle, the segment trace and the angle a pool file keeps.
 
 ``route_swap`` is the one entry point for a trade on any route: it
 quotes on the Cartesian, polar or tick route and returns the committed
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -108,6 +110,19 @@ class TickGrid:
         return _NINETY_RAW // self.spacing_deg.raw
 
 
+def _check_position(lower: int, upper: int, liquidity: int, side: str) -> None:
+    """The rules of one position, on raws: a side, positive liquidity and a
+    non-empty range within [0, 90] degrees."""
+    if side not in ("long", "short"):
+        raise ValidationError("side must be 'long' or 'short'")
+    if liquidity <= 0:
+        raise ValidationError("liquidity must be positive")
+    if not lower < upper:
+        raise ValidationError("lower bound must be below upper bound")
+    if lower < 0 or upper > _NINETY_RAW:
+        raise ValidationError("position must lie within [0, 90] degrees")
+
+
 @dataclass(frozen=True)
 class LpPosition:
     """A liquidity amount committed over a tick-aligned angle range."""
@@ -119,14 +134,7 @@ class LpPosition:
     side: str = "long"
 
     def __post_init__(self):
-        if self.side not in ("long", "short"):
-            raise ValidationError("side must be 'long' or 'short'")
-        if self.liquidity <= ZERO:
-            raise ValidationError("liquidity must be positive")
-        if not self.lower_deg < self.upper_deg:
-            raise ValidationError("lower bound must be below upper bound")
-        if self.lower_deg < ZERO or self.upper_deg > NINETY:
-            raise ValidationError("position must lie within [0, 90] degrees")
+        _check_position(self.lower_deg.raw, self.upper_deg.raw, self.liquidity.raw, self.side)
 
 
 @dataclass(frozen=True)
@@ -134,54 +142,110 @@ class SegmentIndex:
     """A ledger's segments in one walk orientation, in raw units.
 
     ``raws`` are the sorted boundary angles and ``totals[k]`` the liquidity
-    from ``raws[k]`` up to the next boundary.
+    from ``raws[k]`` up to the next boundary. It holds no cosines: a
+    search reads those it probes from the process-wide table.
     """
 
     raws: tuple[int, ...]
     totals: tuple[int, ...]
 
-    @cached_property
-    def neg_cosines(self) -> tuple[int, ...]:
-        """Minus each boundary's cosine from ``boundary_cos_sin``: ascending,
-        as bisect needs. Built on the first search from a point, so a walk
-        keyed by a cached angle evaluates no boundary it does not reach."""
-        return tuple(-boundary_cos_sin(raw)[0].raw for raw in self.raws)
-
     def point_segment(self, x: int, radius: int) -> int:
         """The cursor of the point R (cos phi, sin phi) with x = R cos phi.
 
         That is the number of boundaries b with phi >= b, decided on
-        integers as x * 10^18 <= R cos b: one bisect, and no angle. A
-        point with x >= R counts as angle 0.
+        integers as x * 10^18 <= R cos b: one bisect, and no angle. The
+        bisect reads the cosine of each boundary it probes from
+        ``boundary_cos_sin``, so a search evaluates only about log2 of the
+        boundaries. A point with x >= R counts as angle 0.
         """
-        return bisect_right(self.neg_cosines, -min(x, radius) * WAD // radius)
+        return bisect_right(self.raws, -min(x, radius) * WAD // radius,
+                            key=lambda raw: -boundary_cos_sin(raw)[0].raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TickLedger:
     """All registered positions on one grid.
 
     Every ledger, built or loaded, holds tick-aligned positions with
-    distinct ids, and its longs cover its shorts at every angle.
+    distinct ids, and its longs cover its shorts at every angle. It keeps
+    them as raw ``rows`` (id, lower, upper, liquidity, side), which one
+    pass checks and indexes when the ledger is made; ``positions`` wraps
+    the rows as ``LpPosition`` objects when first read. Ledgers with equal
+    grids and rows are equal, however they were made.
     """
 
-    grid: TickGrid = field(default_factory=TickGrid)
-    positions: tuple[LpPosition, ...] = ()
+    grid: TickGrid
+    rows: tuple[tuple[str, int, int, int, str], ...]
 
-    def __post_init__(self):
-        spacing = self.grid.spacing_deg.raw
-        ids = set()
-        has_short = False
-        for p in self.positions:
-            # LpPosition keeps its bounds within [0, 90]
-            if p.lower_deg.raw % spacing or p.upper_deg.raw % spacing:
-                raise ValidationError("position bounds must be tick-aligned")
-            if p.id in ids:
-                raise ValidationError(f"duplicate position id {p.id!r}")
-            ids.add(p.id)
-            has_short = has_short or p.side == "short"
+    def __init__(self, grid: TickGrid | None = None, positions: tuple[LpPosition, ...] = ()):
+        positions = tuple(positions)
+        self._fill(grid or TickGrid(), (
+            (p.id, p.lower_deg.raw, p.upper_deg.raw, p.liquidity.raw, p.side)
+            for p in positions))
+        # the cached value of ``positions``: the objects it was built from
+        self.__dict__["positions"] = positions
+
+    @classmethod
+    def from_rows(cls, grid: TickGrid, rows) -> TickLedger:
+        """The ledger of raw rows (id, lower, upper, liquidity, side), as a
+        pool file holds them; its positions are built when first read."""
+        ledger = object.__new__(cls)
+        ledger._fill(grid, rows)
+        return ledger
+
+    def _fill(self, grid: TickGrid, rows) -> None:
+        """Check every rule over ``rows`` and index them, in one pass.
+
+        Each row passes the position rules as it is read, so a row that
+        fails them (or fails to parse, in a pool file's lazy rows) raises
+        before any ledger rule: the first misaligned or repeated row
+        raises only once every row has been read.
+        """
+        spacing = grid.spacing_deg.raw
+        kept, ids, deltas = [], set(), {}
+        misfit, in_range, has_short = None, True, False
+        for row in rows:
+            pid, lower, upper, amount, side = row
+            _check_position(lower, upper, amount, side)
+            kept.append(row)
+            if misfit is None:
+                if lower % spacing or upper % spacing:
+                    misfit = "position bounds must be tick-aligned"
+                elif pid in ids:
+                    misfit = f"duplicate position id {pid!r}"
+                ids.add(pid)
+            if side == "short":
+                has_short, amount = True, -amount
+            # raw sums, range-checked as the wrap of every partial sum would
+            # be; a ledger past the range raises when its index is read
+            at_lower = deltas.get(lower, 0) + amount
+            at_upper = deltas.get(upper, 0) - amount
+            deltas[lower], deltas[upper] = at_lower, at_upper
+            if abs(at_lower) > MAX_RAW or abs(at_upper) > MAX_RAW:
+                in_range = False
+        if misfit is not None:
+            raise ValidationError(misfit)
+        raws, totals, total = [], [], 0
+        for raw in sorted(deltas):
+            if deltas[raw]:
+                total += deltas[raw]
+                in_range = in_range and abs(total) <= MAX_RAW
+                raws.append(raw)
+                totals.append(total)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "rows", tuple(kept))
+        object.__setattr__(self, "_index",
+                           SegmentIndex(tuple(raws), tuple(totals)) if in_range else None)
         if has_short and any(total < 0 for total in self.index.totals):
             raise ValidationError("short liquidity exceeds long liquidity")
+
+    @cached_property
+    def positions(self) -> tuple[LpPosition, ...]:
+        """The rows as positions, built on first read: by the hedge builder,
+        ``remove_position`` and ``position``."""
+        wrap = FixedDecimal.from_raw
+        return tuple(LpPosition(pid, wrap(lower), wrap(upper), wrap(amount), side)
+                     for pid, lower, upper, amount, side in self.rows)
 
     def position(self, position_id: str) -> LpPosition:
         for p in self.positions:
@@ -189,35 +253,17 @@ class TickLedger:
                 return p
         raise NotFoundError(position_id)
 
-    @cached_property
+    @property
     def index(self) -> SegmentIndex:
         """The segments seen from token 0, in the canonical angle.
 
-        Boundaries whose signed deltas cancel are left out. Built on first
-        use; not a field, so equality and the pool-file format ignore it.
+        Boundaries whose signed deltas cancel are left out. Built with the
+        ledger; where a sum of its liquidity leaves the range, reading it
+        raises RangeError.
         """
-        # raw sums, each range-checked as the wrap of every partial sum would be
-        deltas: dict[int, int] = {}
-        for p in self.positions:
-            amt = p.liquidity.raw if p.side == "long" else -p.liquidity.raw
-            lower, upper = p.lower_deg.raw, p.upper_deg.raw
-            delta = deltas.get(lower, 0) + amt
-            if not -MAX_RAW <= delta <= MAX_RAW:
-                raise _range_error()
-            deltas[lower] = delta
-            delta = deltas.get(upper, 0) - amt
-            if not -MAX_RAW <= delta <= MAX_RAW:
-                raise _range_error()
-            deltas[upper] = delta
-        raws, totals, total = [], [], 0
-        for raw in sorted(deltas):
-            if deltas[raw]:
-                total += deltas[raw]
-                if not -MAX_RAW <= total <= MAX_RAW:
-                    raise _range_error()
-                raws.append(raw)
-                totals.append(total)
-        return SegmentIndex(tuple(raws), tuple(totals))
+        if self._index is None:
+            raise _range_error()
+        return self._index
 
     @cached_property
     def mirrored_index(self) -> SegmentIndex:
@@ -252,14 +298,13 @@ def add_position(ledger: TickLedger, position: LpPosition) -> TickLedger:
     """
     if position.side == "short":
         raise ValidationError("short positions are created by the hedge builder")
-    return replace(ledger, positions=ledger.positions + (position,))
+    return TickLedger(ledger.grid, ledger.positions + (position,))
 
 
 def remove_position(ledger: TickLedger, position_id: str) -> TickLedger:
     """Drop a position by id; unknown ids raise NotFoundError."""
     ledger.position(position_id)
-    remaining = tuple(p for p in ledger.positions if p.id != position_id)
-    return replace(ledger, positions=remaining)
+    return TickLedger(ledger.grid, tuple(p for p in ledger.positions if p.id != position_id))
 
 
 def tick_width_in_price(grid: TickGrid, tick_index: int):

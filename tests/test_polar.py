@@ -136,7 +136,10 @@ class TestCircleRule:
         angle = cartesian_to_polar(params, *reserves, scale) if n == 2 else None
         state = PoolState(reserves, liquidity_scale=scale, angle_deg=angle)
         ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, scale))
-        amount = fp_mul(reserves[0], F.from_fraction(permille, 1000))
+        # at most half of the room L - x_0 the in-reserve has below the
+        # centre, so that the sell fits on the pair circle of every route
+        room = fp_sub(fp_mul(params.l, scale), reserves[0])
+        amount = fp_mul(min(reserves[0], room), F.from_fraction(permille, 1000))
         quotes = [route_swap(params, ledger, state, route, 0, 1, amount)[0]
                   for route in ("cartesian", "polar", "ticks")]
         assert quotes[0] == quotes[1]

@@ -1,13 +1,21 @@
-"""Pool-file format: golden documents and a round trip over every mode."""
+"""Pool-file format: golden documents, a round trip over every mode, the
+checks a load runs and the ledger it builds."""
 
+import json
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polarpool.ticks
+import test_ticks
+from polarpool.cli import main
 from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO
 from polarpool.hedge import HedgeSpec, build_hedge
 from polarpool.invariant import MODES, CurveParams, PoolState
 from polarpool.poolfile import PoolFile, dumps, loads
-from polarpool.ticks import LpPosition, TickGrid, TickLedger, add_position
+from polarpool.ticks import LpPosition, TickGrid, TickLedger, active_liquidity, add_position
+from reference import brute_force_active
 
 F = FixedDecimal
 
@@ -165,3 +173,138 @@ class TestRoundTrip:
         text = dumps(pool)
         assert loads(text) == pool
         assert dumps(loads(text)) == text
+
+
+def plain_pool_doc() -> dict:
+    """The default two-token pool's document: scale 1 at 45 degrees."""
+    ledger = add_position(TickLedger(), LpPosition("base", ZERO, F(90), ONE))
+    pool = PoolFile(params=CurveParams(n=2), state=PoolState(
+        reserves=(ONE, ONE), liquidity_scale=ONE, angle_deg=F(45)), ledger=ledger)
+    return json.loads(dumps(pool))
+
+
+def position(**fields) -> dict:
+    row = {"id": "x", "lower_deg": "40", "upper_deg": "50", "liquidity": "1"}
+    row.update(fields)
+    return row
+
+
+def appended(*rows):
+    return lambda doc: doc["positions"].extend(rows)
+
+
+def edited_base(key, value):
+    return lambda doc: doc["positions"][0].update({key: value})
+
+
+def dropped_key(key):
+    return lambda doc: doc["positions"][0].pop(key)
+
+
+# one defect per file, and the exit code and stderr a cartesian quote gives:
+# the cartesian route never reads the ledger, so these are the load's checks.
+# Per-position rules run before the ledger's, whatever the file order
+MALFORMED = {
+    "bad-side": (appended(position(side="both")),
+                 2, "side must be 'long' or 'short'"),
+    "zero-liquidity": (appended(position(liquidity="0")),
+                       2, "liquidity must be positive"),
+    "negative-liquidity": (appended(position(liquidity="-1")),
+                           2, "liquidity must be positive"),
+    "lower-above-upper": (appended(position(lower_deg="50", upper_deg="40")),
+                          2, "lower bound must be below upper bound"),
+    "empty-range": (appended(position(lower_deg="45", upper_deg="45")),
+                    2, "lower bound must be below upper bound"),
+    "below-0": (appended(position(lower_deg="-1")),
+                2, "position must lie within [0, 90] degrees"),
+    "above-90": (appended(position(upper_deg="91")),
+                 2, "position must lie within [0, 90] degrees"),
+    "misaligned": (appended(position(lower_deg="44.3")),
+                   2, "position bounds must be tick-aligned"),
+    "duplicate-id": (appended(position(id="base")),
+                     2, "duplicate position id 'base'"),
+    "uncovered-short": (appended(position(liquidity="1.5", side="short")),
+                        2, "short liquidity exceeds long liquidity"),
+    "past-1e20": (appended(position(liquidity="100000000000000000001")),
+                  4, "numeric error: fixed-point overflow: |value| exceeds 1e20"),
+    "exponent": (edited_base("upper_deg", "9e1"),
+                 2, "exponent notation not accepted: '9e1'"),
+    "superscript": (appended(position(upper_deg="5²")),
+                    2, "not a decimal string: '5²'"),
+    "json-float": (edited_base("liquidity", 1.0),
+                   2, "malformed pool file: FixedDecimal accepts int, str, or FixedDecimal, "
+                      "not float"),
+    "missing-key": (dropped_key("lower_deg"), 2, "malformed pool file: 'lower_deg'"),
+    "ledger-rule-after-position-rule": (
+        appended(position(id="base", lower_deg="44.3"), position(id="y", side="both")),
+        2, "side must be 'long' or 'short'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
+def test_malformed_pool_file(tmp_path, capsys, case):
+    edit, code, message = MALFORMED[case]
+    doc = plain_pool_doc()
+    edit(doc)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["quote", "--pool", str(path), "--token-in", "0", "--token-out", "1",
+                 "--amount", "0.1", "--route", "cartesian"]) == code
+    captured = capsys.readouterr()
+    prefix = "invalid input: " if code == 2 else ""
+    assert (captured.out, captured.err) == ("", f"{prefix}{message}\n")
+
+
+def test_empty_angle_is_a_bad_decimal(tmp_path, capsys):
+    doc = plain_pool_doc()
+    doc["angle_deg"] = ""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["quote", "--pool", str(path), "--token-in", "0", "--token-out", "1",
+                 "--amount", "0.1"]) == 2
+    assert capsys.readouterr().err == "invalid input: empty decimal string\n"
+
+
+@st.composite
+def ranged_pools(draw) -> PoolFile:
+    """A seeded ladder, and with some draws a hedge spread whose short leg
+    the ladder's longs cover."""
+    ladder = test_ticks.TestSegmentCursor
+    ledger, state = ladder.seeded_ladder(draw(ladder.LADDER_WALKS[0]),
+                                         draw(ladder.LADDER_WALKS[1]))
+    if draw(st.booleans()):
+        spec = HedgeSpec(F.from_raw(draw(st.integers(WAD // 2, WAD - 1))),
+                         width_deg=F(draw(st.sampled_from(["0.5", "1", "2.5"]))),
+                         notional_liquidity=F.from_raw(draw(st.integers(WAD // 1000, WAD // 2))))
+        _, _, ledger = build_hedge(CurveParams(n=2), ledger, spec)
+    return PoolFile(params=CurveParams(n=2), state=state, ledger=ledger)
+
+
+class TestLoadedLedger:
+    @given(ranged_pools())
+    @settings(max_examples=30, deadline=None)
+    def test_loaded_ledger_is_the_built_one(self, pool):
+        built = pool.ledger
+        loaded = loads(dumps(pool))
+        assert loaded == pool
+        assert loaded.ledger.index == built.index
+        assert loaded.ledger.mirrored_index == built.mirrored_index
+        raws = (0,) + built.index.raws + (90 * WAD,)
+        mids = [(lo + hi) // 2 for lo, hi in zip(raws, raws[1:])]
+        for raw in (*raws, *mids):
+            angle = F.from_raw(raw)
+            assert active_liquidity(loaded.ledger, angle) == brute_force_active(built, angle)
+
+    @pytest.mark.parametrize("route", ["cartesian", "polar", "ticks"])
+    def test_quote_builds_no_position(self, tmp_path, capsys, monkeypatch, route):
+        ledger = test_ticks.wide_ladder()
+        state = test_ticks.parked_state(ledger, F(45))
+        path = tmp_path / "p.json"
+        path.write_text(dumps(PoolFile(params=CurveParams(n=2), state=state, ledger=ledger)))
+        built = []
+        monkeypatch.setattr(polarpool.ticks.LpPosition, "__post_init__",
+                            lambda position: built.append(position))
+        code = main(["quote", "--pool", str(path), "--token-in", "0", "--token-out", "1",
+                     "--amount", "0.5", "--route", route])
+        assert code == 0, capsys.readouterr().err
+        assert built == []

@@ -334,6 +334,20 @@ class TestSwapAcrossTicks:
         assert abs(result.quote.amount_out.raw - direct.amount_out.raw) <= 10 ** 9
 
 
+def wide_ladder(count: int = 200) -> TickLedger:
+    """A full-range base of 1 and ``count`` seeded ranges 1 to 20 degrees
+    wide, centred evenly over [5, 85] on a 0.5-degree grid."""
+    rng = random.Random(26)
+    positions = [LpPosition("base", ZERO, NINETY, ONE)]
+    for k in range(count):
+        steps = rng.randint(2, 40)
+        lower = min(max(round(10 + 160 * (k + 0.5) / count) - steps // 2, 1), 179 - steps)
+        positions.append(LpPosition(f"r{k:03d}", F.from_fraction(lower, 2),
+                                    F.from_fraction(lower + steps, 2),
+                                    F.from_fraction(rng.randint(2, 30), 100)))
+    return TickLedger(grid=TickGrid(spacing_deg=F("0.5")), positions=tuple(positions))
+
+
 def mirror_ledger(ledger: TickLedger) -> TickLedger:
     """The ledger seen from token 1: [lo, hi) becomes [90 - hi, 90 - lo)."""
     return TickLedger(grid=ledger.grid, positions=tuple(
@@ -703,6 +717,23 @@ class TestCarriedPairKernel:
         assert fresh == result
         assert calls == {"fp_sin_cos": 0, "fp_atan2": 0}
 
+
+    def test_cold_replay_reads_few_boundaries(self, calls):
+        # a search from a point bisects the boundaries, reading the cosine of
+        # each one it probes, and an angle above 45 reads the entry of its
+        # mirror: a 12-trade replay on a fresh ladder fills under half as
+        # many table entries as the ledger has boundaries
+        ledger = wide_ladder()
+        state = parked_state(ledger, F(45))
+        amounts = ["0.2", "0.6", "0.15", "1", "0.35", "0.1", "0.75", "0.45", "0.125", "1.5",
+                   "0.3", "0.55"]
+        trades = [(k + 1, k % 2, 1 - k % 2, F(a)) for k, a in enumerate(amounts)]
+        rows, _, _, halted = replay(CIRCLE, ledger, state, trades)
+        assert halted is None and len(rows) == 12
+        filled = polarpool.polar.boundary_cos_sin.cache_info().currsize
+        assert filled < len(ledger.index.raws) / 2
+        # each evaluation fills an entry of at most 45 degrees
+        assert calls["fp_sin_cos"] < filled
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_replay_forms_no_angle(self, monkeypatch, n):
