@@ -53,19 +53,22 @@ from .invariant import CurveParams, ON_CURVE_TOLERANCE
 F = FixedDecimal
 
 NINETY = F(90)
+_HALF_ROOT = F.from_raw(_nearest_isqrt(WAD * WAD, 2))
 
 
 def arc_cos_sin(angle_deg: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
     """(cos, sin) of an arc angle in degrees, in [0, 90].
 
-    Sine and cosine are evaluated only at angles of at most 45 degrees; an
+    Sine and cosine are evaluated only at angles below 45 degrees; an
     angle b above reads the pair of 90 - b swapped, so the pairs of b and
     90 - b mirror each other bit for bit, and the arc ends are the exact
-    (1, 0) and (0, 1).
+    (1, 0) and (0, 1). At 45 both are sqrt(1/2), correctly rounded.
     """
     if 2 * angle_deg.raw > NINETY.raw:
         cos_m, sin_m = arc_cos_sin(fp_sub(NINETY, angle_deg))
         return sin_m, cos_m
+    if 2 * angle_deg.raw == NINETY.raw:
+        return _HALF_ROOT, _HALF_ROOT
     if angle_deg.is_zero():
         return ONE, ZERO
     # pi / 180 rounded to the grid would carry its rounding times the angle

@@ -191,13 +191,24 @@ class TestArcPoints:
         assert boundary_cos_sin(0) == (ONE, ZERO)
         assert boundary_cos_sin(NINETY.raw) == (ZERO, ONE)
 
-    @given(st.integers(0, 90 * WAD).filter(lambda raw: raw != 45 * WAD))
+    def test_boundary_table_mirrors_bit_for_bit(self):
+        # the pair of 90 - b is the pair of b swapped on every boundary of a
+        # 0.5-degree grid, 45 included, and at random raws; 45 holds sqrt(1/2)
+        # correctly rounded in both places
+        rng = random.Random(45)
+        raws = [k * WAD // 2 for k in range(181)] + [rng.randrange(NINETY.raw + 1)
+                                                     for _ in range(100)]
+        for raw in raws:
+            cos_b, sin_b = boundary_cos_sin(raw)
+            assert boundary_cos_sin(NINETY.raw - raw) == (sin_b, cos_b)
+        assert boundary_cos_sin(45 * WAD) == (F("0.707106781186547524"),) * 2
+
+    @given(st.integers(0, 90 * WAD))
     @example(0)
     @example(WAD // 2)
+    @example(45 * WAD)
     @settings(max_examples=300)
     def test_reserves_at_angle_mirror_bit_for_bit(self, raw):
-        # at 45 degrees the pair is one rounded (cos, sin) of pi/4, whose two
-        # components may differ by a quantum
         x, y = reserves_at_angle(CIRCLE, F.from_raw(raw), F(3))
         assert reserves_at_angle(CIRCLE, F.from_raw(NINETY.raw - raw), F(3)) == (y, x)
 

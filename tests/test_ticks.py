@@ -837,7 +837,13 @@ class TestSegmentCursor:
         assert len(short.segments) == 1
         assert short.final_liquidity == F(10)
         assert start < short.final_angle_deg < F(45)
-        assert commit_tick_swap(state, short).angle_deg is None
+        # token 1's test places that end past 45, so it commits its angle,
+        # which keys the lower segment from both tokens
+        committed = commit_tick_swap(state, short)
+        assert committed.angle_deg == short.final_angle_deg
+        for token_in in (0, 1):
+            assert swap_across_ticks(CIRCLE, ledger, committed, token_in, F.from_raw(1)) \
+                .segments[0].liquidity == F(10)
         exact = swap_across_ticks(CIRCLE, ledger, state, 0, capacity)
         assert len(exact.segments) == 1
         assert exact.final_liquidity == F(12)
