@@ -27,8 +27,8 @@ from .invariant import (CurveParams, PoolState, invariant_residual, solve_ccmm_s
 from .polar import angle_to_price, cartesian_to_polar, price_to_angle, reserves_at_angle
 from .poolfile import PoolFile, load, save
 from .swap import SwapQuote, y_of_x
-from .ticks import (LpPosition, TickGrid, TickLedger, add_position, file_angle, gen_trades,
-                    replay, route_swap)
+from .ticks import (LpPosition, TickGrid, TickLedger, add_position, gen_trades, replay,
+                    route_swap)
 
 F = FixedDecimal
 
@@ -147,9 +147,10 @@ def cmd_trade(args) -> int:
         args.token_in, args.token_out, F(args.amount), args.exact_out,
     )
     if args.command == "swap":
-        if tick_result is not None:
-            state = replace(state, angle_deg=file_angle(pool.params, pool.ledger, state,
-                                                         tick_result))
+        # a file keeps the angle where a nonzero tick walk ends; a zero
+        # trade commits the loaded state
+        if tick_result is not None and tick_result.fills:
+            state = replace(state, angle_deg=tick_result.final_angle_deg)
         save(args.pool, replace(pool, state=state))
     _print_json(_quote_payload(args, quote, tick_result))
     return EXIT_OK

@@ -111,10 +111,10 @@ class PoolState:
 
     ``angle_deg``, when set, is a two-token circular state's segment key on
     the tick route: ``init`` sets it, a tick walk that ends on an exact
-    angle sets it (see ``ticks.commit_tick_swap``), and the CLI saves a tick
-    swap with the angle where it ends. Any other commit leaves None, and
-    the tick route then finds the segment from the reserves, which must
-    lie on the arc whether or not an angle is set.
+    angle sets it (see ``ticks.commit_tick_swap``), and the CLI saves a
+    nonzero tick swap with its final angle, which keys the same segments.
+    Any other commit leaves None, and the tick route then finds the segment
+    from the reserves, which must lie on the arc with or without an angle.
     """
 
     reserves: tuple[FixedDecimal, ...]

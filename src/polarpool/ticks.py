@@ -42,14 +42,15 @@ raises RangeError exactly where a wrap of each step's value would.
 A trade forms no angle. A two-token state's cached angle keys its start
 segment; any other state's point does, since phi >= b exactly when
 x * 10^18 <= R cos b on integers: one bisect over the boundaries of the
-index, which reads only the cosines it probes. A walk that lands on a
-boundary commits its exact angle; one that ends inside a segment commits
-none, so the next trade finds the segment from the point, unless the
-point lies a hair below the segment's start, where it commits that
-start's angle, or the other token's test places it past the segment's
-end, where it forms and commits its own angle. Degrees are otherwise
-formed, correctly rounded, only when a result's angles are read: the
-quote's final angle, the segment trace and the angle a pool file keeps.
+index, which reads only the cosines it probes. One rule places a walk's
+end: on the boundary it lands on; on its segment's start where either
+token's test places it at or below that start; on its own angle, formed
+inside the segment, where the other token's test places it past the
+segment's end; else on its point, inside the segment by both tests. A
+state caches an exact end angle and a pool file the final angle, which
+key the same segments. Degrees are otherwise formed, correctly rounded,
+only when a result's angles are read: the quote's final angle, the
+segment trace and the angle a pool file keeps.
 
 ``route_swap`` is the one entry point for a trade on any route: it
 quotes on the Cartesian, polar or tick route and returns the committed
@@ -384,9 +385,9 @@ class TickSwapResult:
     ``fills`` holds each segment as raw ``(liquidity, delta_in, delta_out,
     start, end)``; ``segments`` wraps them when first read. ``end`` is the
     place where the walk ends (see ``_degrees``): an exact angle where it
-    lands on a boundary, ends a hair below its last segment's start or past
-    its end by the other token's test, or trades nothing from a cached
-    angle, and otherwise its end point.
+    lands on a boundary, ends at or below its last segment's start by either
+    token's test or past its end by the other token's, or trades nothing
+    from a cached angle, and otherwise its end point.
     """
 
     quote: SwapQuote
@@ -515,17 +516,18 @@ def swap_across_ticks(params: CurveParams, ledger: TickLedger, state: PoolState,
         capacity = x - x_stop
 
         if remaining < capacity:
-            # the trade ends inside the segment, where no angle is formed;
-            # a point a hair below the segment's start, as a rounded table
-            # point or a loaded pool file's point can be, would key the
-            # segment below, so it ends on that start's exact angle. One
+            # the trade ends inside the segment, where no angle is formed.
+            # An end that either token's test places at or below the
+            # segment's start, as a rounded table point or a loaded pool
+            # file's point can be, ends on that start's exact angle; one
             # that the other token's test places past the stop would key the
             # segment above from that token, so it ends on its own angle
             step, x_end = remaining, x - remaining
             y_end = _nearest_isqrt(radius_sq - x_end * x_end)
             lo = raws[k - 1]
+            cos_lo, sin_lo = boundary_cos_sin(lo)
             end = _Point(x_end, y_end, lo, stop)
-            if x_end * WAD > circle * boundary_cos_sin(lo)[0].raw:
+            if x_end * WAD > circle * cos_lo.raw or y_end * WAD <= circle * sin_lo.raw:
                 end = lo
             elif y_end * WAD > circle * sin_stop.raw:
                 end = _degrees(end, False).raw
@@ -582,43 +584,16 @@ def commit_tick_swap(state: PoolState, result: TickSwapResult) -> PoolState:
     """Apply a tick swap: reserves, scale, and an exact end angle.
 
     A walk whose end is an exact angle (see ``TickSwapResult.end``) caches
-    it; one that ends inside a segment at a point caches none, and the
-    next walk finds the segment from the reserves.
+    it, and one that ends at a point caches none. A zero trade commits
+    nothing. The CLI saves a walk with its ``final_angle_deg`` instead.
     """
+    if not result.fills:
+        return state
     return PoolState(
         reserves=result.quote.new_reserves,
         liquidity_scale=result.final_liquidity,
         angle_deg=None if isinstance(result.end, _Point) else result.final_angle_deg,
     )
-
-
-def file_angle(params: CurveParams, ledger: TickLedger, state: PoolState,
-               result: TickSwapResult) -> FixedDecimal | None:
-    """The angle a pool file keeps for ``state``, which ``result`` committed.
-
-    A reload must key the segments the state keys in memory. A state
-    committed with an angle keeps it. A two-token state committed without
-    one is keyed by its point: each trade direction tests the point against
-    the boundaries on its own axis, and within rounding of a boundary b the
-    two tests can both place the point on b, or both off it. The file keeps
-    the final angle when every boundary lies on one side of the point, b
-    when both tests place the point on b, and no angle when neither does,
-    so that the reload searches from the point.
-    """
-    if params.n > 2 or state.angle_deg is not None:
-        return result.final_angle_deg
-    offset = fp_mul(params.l, state.liquidity_scale).raw
-    x, y = (offset - v.raw for v in state.reserves)
-    k = ledger.index.point_segment(x, offset)
-    # the boundaries at or below the point by the token-0 test, plus those
-    # at or above it by the token-1 test, less all of them: 0 when the
-    # tests agree, 1 when both place the point on raws[k - 1]
-    overlap = k + ledger.mirrored_index.point_segment(y, offset) - len(ledger.index.raws)
-    if overlap == 0:
-        return result.final_angle_deg
-    if overlap == 1:
-        return FixedDecimal.from_raw(ledger.index.raws[k - 1])
-    return None
 
 
 def route_swap(params: CurveParams, ledger: TickLedger, state: PoolState, route: str,

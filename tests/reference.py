@@ -88,6 +88,35 @@ def circle_step_within(centre: int, radius_sq: int, moved: int, out: int,
     return root_within(centre - out, radius_sq - (centre - moved) ** 2, halves)
 
 
+def three_way_angle(params, ledger, state, result):
+    """The angle under which a reload of ``state``, which ``result``
+    committed, keys the segments the state keys in memory: the three-way
+    rule, against which a nonzero walk's ``final_angle_deg`` is checked.
+
+    A state committed with an angle, or on more than two tokens, keeps the
+    final angle. Otherwise each token tests the point against every
+    boundary on its own axis, on integers: token 0 places it at or above b
+    when x 10^18 <= R cos b, token 1 at or below b when y 10^18 <= R sin b.
+    When the tests agree on every boundary, the angle is the final angle;
+    when both place the point on one boundary, that boundary; and when
+    neither does, None: no angle keys both tokens' segments.
+    """
+    if params.n > 2 or state.angle_deg is not None:
+        return result.final_angle_deg
+    offset = fp_mul(params.l, state.liquidity_scale).raw
+    x, y = (offset - v.raw for v in state.reserves)
+    raws = ledger.index.raws
+    table = [boundary_cos_sin(b) for b in raws]
+    at_or_above = sum(x * WAD <= offset * cos_b.raw for cos_b, _ in table)
+    at_or_below = sum(y * WAD <= offset * sin_b.raw for _, sin_b in table)
+    overlap = at_or_above + at_or_below - len(raws)
+    if overlap == 0:
+        return result.final_angle_deg
+    if overlap == 1:
+        return FixedDecimal.from_raw(raws[at_or_above - 1])
+    return None
+
+
 class LegMarkByWraps:
     """A hedge band marked wrap by wrap: every intermediate a FixedDecimal."""
 

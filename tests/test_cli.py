@@ -333,6 +333,37 @@ class TestReplay:
         assert swapped == replayed
         assert swapped[1] == "1.931434047973667881"
 
+    def test_tick_swaps_near_45_save_a_file_the_tick_route_reads(self, tmp_path, capsys):
+        # 2- and 1-quantum tick swaps from 45 on a pool ranged above it end
+        # a few quanta past 45; the file keeps the angle each swap prints,
+        # so a tick quote on it and a replay of the same three trades both
+        # trade, and pay alike
+        pool_path, start = tmp_path / "p.json", tmp_path / "start.json"
+        log, per_trade = tmp_path / "log.csv", tmp_path / "r.csv"
+        init_pool(capsys, pool_path)
+        ledger = TickLedger(positions=(LpPosition("base", F(0), F(90), F(1)),
+                                       LpPosition("r", F(45), F(50), F("0.3"))))
+        state = PoolState(reserves=(F("1.3"), F("1.3")), liquidity_scale=F("1.3"),
+                          angle_deg=F(45))
+        save(pool_path, replace(load(pool_path), state=state, ledger=ledger))
+        start.write_bytes(pool_path.read_bytes())
+        trades = [(1, 0, 1, "0.000000000000000002"), (2, 1, 0, "0.000000000000000001"),
+                  (3, 0, 1, "0.1")]
+        for _, i, j, amount in trades[:2]:
+            code, out, err = run(capsys, "swap", "--pool", str(pool_path), "--token-in", str(i),
+                                 "--token-out", str(j), "--amount", amount, "--route", "ticks")
+            assert code == 0, err
+            assert load(pool_path).state.angle_deg == F(json.loads(out)["final_angle_deg"])
+        code, out, err = run(capsys, "quote", "--pool", str(pool_path), "--token-in", "0",
+                             "--token-out", "1", "--amount", "0.1", "--route", "ticks")
+        assert code == 0, err
+        log.write_text("seq,token_in,token_out,amount_in\n" + "".join(
+            f"{seq},{i},{j},{amount}\n" for seq, i, j, amount in trades))
+        code, _, err = run(capsys, "replay", "--pool", str(start), "--log", str(log),
+                           "--out-csv", str(per_trade))
+        assert code == 0, err
+        assert per_trade.read_text().splitlines()[3].split(",")[4] == json.loads(out)["amount_out"]
+
     def test_bad_header_rejected(self, tmp_path, capsys):
         pool_path = tmp_path / "p.json"
         init_pool(capsys, pool_path)

@@ -12,7 +12,6 @@ from polarpool.fingerprint import (
     fingerprint_cemm,
     fingerprint_csemm,
     lp_payoff,
-    modality_count,
     multimodal_radius,
     payoff_fingerprint,
 )
@@ -150,11 +149,6 @@ class TestMultimodal:
                 theta = F.from_raw(PI.raw * k // 400)
                 r = to_mp(multimodal_radius(p, theta))
                 assert 1 - 1e-12 <= r <= hi + 1e-12
-
-    def test_taxonomy(self):
-        for alpha, want in [(4, 1), (6, 2), (8, 3)]:
-            p = FingerprintParams(mode="multimodal", alpha_mm=alpha)
-            assert modality_count(p) == want
 
     def test_validation(self):
         with pytest.raises(ValidationError):

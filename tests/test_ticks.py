@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polarpool.errors import (
@@ -20,8 +20,10 @@ from polarpool.errors import (
     ValidationError,
 )
 from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, _nearest_isqrt, fp_mul, fp_sub
+from polarpool.cli import main
 from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
 from polarpool.polar import NINETY, reserves_at_angle
+from polarpool.poolfile import PoolFile, save
 from polarpool.swap import pair_swap
 import polarpool.fixed
 import polarpool.polar
@@ -33,7 +35,6 @@ from polarpool.ticks import (
     active_liquidity,
     add_position,
     commit_tick_swap,
-    file_angle,
     gen_trades,
     remove_position,
     replay,
@@ -41,7 +42,8 @@ from polarpool.ticks import (
     swap_across_ticks,
     tick_width_in_price,
 )
-from reference import brute_force_active, circle_step_within, integrate_swap_oracle
+from reference import (brute_force_active, circle_step_within, integrate_swap_oracle,
+                       three_way_angle)
 
 F = FixedDecimal
 CIRCLE = CurveParams(n=2)
@@ -873,6 +875,10 @@ class TestSegmentCursor:
         return ledger, parked_state(ledger, F.from_raw(where * half // 10 ** 6))
 
     @given(*LADDER_WALKS)
+    # trades from a boundary that end a few quanta past it, where the
+    # other token's test places the end on the boundary
+    @example([(173, 2, 8357352752729052758)], 173 * 10 ** 6, 0, 25)
+    @example([(6, 1, 4469524328577296407)], 6 * 10 ** 6, 1, 7)
     @settings(max_examples=200, deadline=None)
     def test_next_trade_starts_where_the_walk_ends(self, spans, where, token_in,
                                                    share_raw):
@@ -896,7 +902,10 @@ class TestSegmentCursor:
         live = index.totals[cursor - 1] if cursor else 0
         assert result.final_liquidity.raw == live or live == 0
         committed = commit_tick_swap(state, result)
-        saved = replace(committed, angle_deg=file_angle(CIRCLE, ledger, committed, result))
+        # a pool file keeps the final angle, the angle the three-way rule of
+        # a reload chose
+        assert result.final_angle_deg == three_way_angle(CIRCLE, ledger, committed, result)
+        saved = replace(committed, angle_deg=result.final_angle_deg)
         for start in (committed, saved):
             after = tick_outcome(ledger, start, token_in, F.from_raw(1))
             if isinstance(after, EngineError):
@@ -935,10 +944,11 @@ class TestSegmentCursor:
             assert (offset - reserves[token_in].raw, offset - reserves[1 - token_in].raw) == (
                 round(Fraction(offset * cos_b.raw, WAD)), round(Fraction(offset * sin_b.raw, WAD)))
 
-    def test_point_off_a_boundary_from_both_tokens_saves_no_angle(self):
+    def test_point_off_a_boundary_from_both_tokens_saves_no_angle(self, tmp_path, capsys):
         # a point just past 45 on both axes: each token's test places it on
-        # the far side of 45, which no single angle does, so a pool file
-        # keeps no angle
+        # the far side of 45, which no single angle does. A zero trade
+        # commits nothing, so a zero swap keeps its pool file byte for byte,
+        # as it does a point inside a segment, a cached angle and n = 3
         ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, F(1000)))
         ledger = add_position(ledger, LpPosition("core", F(45), F(46), F(1000)))
         radius = fp_mul(CIRCLE.l, F(1000)).raw
@@ -946,17 +956,33 @@ class TestSegmentCursor:
         v = radius * cos_45 // WAD + 1
         state = PoolState(reserves=(F.from_raw(radius - v),) * 2,
                           liquidity_scale=F(1000), angle_deg=None)
-        result = swap_across_ticks(CIRCLE, ledger, state, 0, ZERO)
-        committed = commit_tick_swap(state, result)
-        assert committed.angle_deg is None
-        assert file_angle(CIRCLE, ledger, committed, result) is None
+        assert commit_tick_swap(state, swap_across_ticks(CIRCLE, ledger, state, 0, ZERO)) == state
+        n3 = CurveParams(n=3)
+        scale = solve_ccmm_scale(n3, (ONE, F(2), F(3)))
+        pools = [
+            (PoolFile(CIRCLE, state, ledger), (0,)),
+            (PoolFile(CIRCLE, replace(parked_state(ledger, F(30)), angle_deg=None), ledger),
+             (0, 1)),
+            (PoolFile(CIRCLE, parked_state(ledger, F("45.5")), ledger), (0, 1)),
+            (PoolFile(n3, PoolState((ONE, F(2), F(3)), scale), add_position(
+                TickLedger(), LpPosition("base", ZERO, NINETY, scale))), (0, 2)),
+        ]
+        for k, (pool, tokens) in enumerate(pools):
+            path = tmp_path / f"pool{k}.json"
+            save(path, pool)
+            before = path.read_bytes()
+            for token_in in tokens:
+                assert main(["swap", "--pool", str(path), "--token-in", str(token_in),
+                             "--token-out", str(1 - token_in % 2), "--amount", "0",
+                             "--route", "ticks"]) == 0, capsys.readouterr().err
+                assert path.read_bytes() == before
         # from memory token 0 starts below its side of 45, on the state's
         # circle; token 1 keys the circle above 45, and the point stands on
         # 45 by neither test, so it may not move there
-        assert swap_across_ticks(CIRCLE, ledger, committed, 0, F.from_raw(1)) \
+        assert swap_across_ticks(CIRCLE, ledger, state, 0, F.from_raw(1)) \
             .segments[0].liquidity == F(1000)
         with pytest.raises(ValidationError, match="liquidity_scale disagrees"):
-            swap_across_ticks(CIRCLE, ledger, committed, 1, F.from_raw(1))
+            swap_across_ticks(CIRCLE, ledger, state, 1, F.from_raw(1))
 
 
 class TestCircleChange:
