@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from polarpool.cli import main
 from polarpool.errors import (
     DomainError,
     EngineError,
@@ -20,7 +21,6 @@ from polarpool.errors import (
     ValidationError,
 )
 from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, _nearest_isqrt, fp_mul, fp_sub
-from polarpool.cli import main
 from polarpool.invariant import CurveParams, PoolState, solve_ccmm_scale
 from polarpool.polar import NINETY, reserves_at_angle
 from polarpool.poolfile import PoolFile, save
@@ -902,8 +902,8 @@ class TestSegmentCursor:
         live = index.totals[cursor - 1] if cursor else 0
         assert result.final_liquidity.raw == live or live == 0
         committed = commit_tick_swap(state, result)
-        # a pool file keeps the final angle, the angle the three-way rule of
-        # a reload chose
+        # a pool file keeps the final angle, which must key a reload as
+        # memory keys the state: the three-way rule's angle
         assert result.final_angle_deg == three_way_angle(CIRCLE, ledger, committed, result)
         saved = replace(committed, angle_deg=result.final_angle_deg)
         for start in (committed, saved):
