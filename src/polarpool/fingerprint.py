@@ -6,10 +6,10 @@ t = ln(price). Closed forms exist for the circular curve,
     L(t) = 2 l e^{3t/2} / (1 + e^{2t})^{3/2},
 
 its elliptical shift by a price peak c, and the superelliptical family in
-the equal-exponent case. All three are evaluated here in an
-overflow-safe rearrangement: dividing numerator and denominator by
-e^{3t/2} turns the ratio into (e^t + e^{-t})^{-3/2} and keeps every
-intermediate inside the representable range for |t| well past 20.
+the equal-exponent case. Dividing by e^{3t/2} turns each into a power of
+D = e^x + w e^{-x}, summed unrounded at ``fixed``'s working scale from one
+exponential. D^{-3/2} is one correctly rounded integer root and D^{-g} is
+exp(-g ln D); the multimodal radius's exact beta-th root is exp(-ln(inner) / beta).
 
 The LP payoff V(p) = min over on-curve reserves of (p x + y) has the
 closed form l (p + c - sqrt(p^2 + c^2)) at the arc point parallel to
@@ -21,6 +21,7 @@ fingerprint closed form without referencing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, ValidationError
 from .fixed import (
@@ -28,6 +29,7 @@ from .fixed import (
     HALF_PI,
     ONE,
     TWO,
+    WAD,
     ZERO,
     fp_add,
     fp_div,
@@ -35,10 +37,10 @@ from .fixed import (
     fp_hypot,
     fp_ln,
     fp_mul,
-    fp_pow,
     fp_sin_cos,
     fp_sub,
 )
+from .fixed import _ONE, _exp, _from_scaled, _ln, _nearest_isqrt, _range_error, _round_div, _scaled
 from .invariant import default_offset, eta
 
 F = FixedDecimal
@@ -69,29 +71,47 @@ class FingerprintParams:
         if self.alpha_mm < 4 or self.alpha_mm % 2 != 0:
             raise ValidationError("multimodal alpha must be an even integer >= 4")
 
-    @property
-    def beta_mm(self) -> int:
-        return self.alpha_mm * self.alpha_mm
+    @cached_property
+    def _csemm_terms(self) -> tuple[FixedDecimal, FixedDecimal, int, FixedDecimal]:
+        """ln(s_y / s_x), eta / (2 (eta - 1)), g = (eta + 1) / eta at the working
+        scale, and 2 alpha / (eta - 1); a refusal is not cached, so each sample raises it."""
+        e = eta(self.alpha)
+        em1 = fp_sub(e, ONE)
+        if em1.is_zero():
+            raise DomainError("fingerprint undefined at eta = 1 (constant-sum limit)")
+        return (fp_ln(fp_div(self.s_y, self.s_x)), fp_div(e, fp_mul(TWO, em1)),
+                (e.raw + WAD) * _ONE // e.raw, fp_div(fp_mul(TWO, self.alpha), em1))
 
 
-def _sech_power(t: FixedDecimal, exponent: FixedDecimal,
-                weight: FixedDecimal = ONE) -> FixedDecimal:
-    """(e^t + weight * e^{-t}) ** (-exponent), the overflow-safe core."""
-    d = fp_add(fp_exp(t), fp_mul(weight, fp_exp(-t)))
-    return fp_pow(d, -exponent)
+def _denominator(x: int, weight: FixedDecimal) -> int:
+    """D = e^x + weight e^{-x}, unrounded at the working scale of x, with e^{-x} = _ONE^2 // e^x.
+
+    Refused, as the grid values would be, where either term or their grid sum
+    passes 1e20, and where that sum is 0 or its -3/2 power passes 1e20 (weight 0).
+    """
+    if x < -47 * _ONE:  # e^{-x} > 1e20, where e^x may be 0 at the working scale
+        raise _range_error()
+    e = _exp(x)
+    inv = _ONE * _ONE // e
+    grid = fp_add(_from_scaled(e), fp_mul(weight, _from_scaled(inv))).raw
+    if not grid:
+        raise DomainError("0 raised to a negative power")
+    if grid ** 3 < 10 ** 14:  # (10^90 / grid^3)^{1/2} rounds past 10^38
+        raise _range_error()
+    return e + weight.raw * inv // WAD
 
 
 def fingerprint_ccmm(params: FingerprintParams, t: FixedDecimal) -> FixedDecimal:
     """Circular fingerprint; peaks at t = 0 with value l / sqrt(2)."""
-    core = _sech_power(t, F("1.5"))
-    return fp_mul(fp_mul(TWO, params.l), core)
+    core = _nearest_isqrt(10 ** 186, _denominator(_scaled(t), ONE) ** 3)  # raw D^{-3/2}
+    return F.from_raw(_round_div(fp_mul(TWO, params.l).raw * core, WAD))
 
 
 def fingerprint_cemm(params: FingerprintParams, t: FixedDecimal) -> FixedDecimal:
     """Elliptical fingerprint with price peak c; c = 1 recovers the circle."""
     c2 = fp_mul(params.c, params.c)
-    core = _sech_power(t, F("1.5"), weight=c2)
-    return fp_mul(fp_mul(TWO, fp_mul(c2, params.l)), core)
+    core = _nearest_isqrt(10 ** 186, _denominator(_scaled(t), c2) ** 3)
+    return F.from_raw(_round_div(fp_mul(TWO, fp_mul(c2, params.l)).raw * core, WAD))
 
 
 def fingerprint_csemm(params: FingerprintParams, t: FixedDecimal) -> FixedDecimal:
@@ -100,24 +120,17 @@ def fingerprint_csemm(params: FingerprintParams, t: FixedDecimal) -> FixedDecima
     The shift scales enter only through t' = t - ln(s_y / s_x); the
     constant-sum limit eta = 1 has no closed form and is rejected.
     """
-    e = eta(params.alpha)
-    em1 = fp_sub(e, ONE)
-    if em1.is_zero():
-        raise DomainError("fingerprint undefined at eta = 1 (constant-sum limit)")
-    t_shift = fp_sub(t, fp_ln(fp_div(params.s_y, params.s_x)))
-    half_b = fp_div(e, fp_mul(TWO, em1))
-    g = fp_div(fp_add(e, ONE), e)
-    core = _sech_power(fp_mul(half_b, t_shift), g)
-    coeff = fp_div(fp_mul(TWO, params.alpha), em1)
-    return fp_mul(coeff, core)
+    ln_ratio, half_b, g, coeff = params._csemm_terms
+    d = _denominator(_scaled(fp_mul(half_b, fp_sub(t, ln_ratio))), ONE)
+    return fp_mul(coeff, _from_scaled(_exp(-g * _ln(d) // _ONE)))
 
 
 def multimodal_radius(params: FingerprintParams, theta: FixedDecimal) -> FixedDecimal:
     """Sinusoidally perturbed radius L / (1 - sin(alpha*theta)^2 / 2)^(1/beta)."""
     sin_a = fp_sin_cos(fp_mul(F(params.alpha_mm), theta))[0]
     inner = fp_sub(ONE, fp_div(fp_mul(sin_a, sin_a), TWO))
-    exponent = fp_div(ONE, F(params.beta_mm))
-    return fp_mul(params.big_l, fp_pow(inner, -exponent))
+    beta = F(params.alpha_mm ** 2).raw // WAD  # the wrap refuses a beta past 1e20
+    return fp_mul(params.big_l, _from_scaled(_exp(-_ln(_scaled(inner)) // beta)))
 
 
 def modality_count(params: FingerprintParams, samples: int = 10_000) -> int:

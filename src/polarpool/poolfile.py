@@ -2,8 +2,9 @@
 
 This is the only module that knows the pool-file format: ``dumps`` builds
 the whole document and ``loads`` reads it back. Serialization is
-canonical (sorted keys, two-space indent, trailing newline) so identical
-pools produce byte-identical files and replay runs can be diffed.
+canonical (sorted keys, two-space indent, trailing newline: the text
+``json.dumps`` writes, with each position laid out from one template) so
+identical pools produce byte-identical files and replay runs can be diffed.
 ``loads`` rejects unknown format versions. It builds params, state and
 grid through their constructors, and reads the positions in one pass on
 raw integers: each row is parsed, checked by the rules ``LpPosition`` and
@@ -20,6 +21,7 @@ import json
 import os
 import stat
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 
 from .errors import EngineError, ShapeError, ValidationError
@@ -42,7 +44,8 @@ class PoolFile:
 def dumps(pool: PoolFile) -> str:
     params, state, ledger = pool.params, pool.state, pool.ledger
     # bounds repeat from position to position, so each value is formatted once
-    text = {raw: str(F.from_raw(raw)) for raw in {v for row in ledger.rows for v in row[1:4]}}
+    text = {raw: quote(str(F.from_raw(raw)))
+            for raw in {v for row in ledger.rows for v in row[1:4]}}
     doc = {
         "format_version": FORMAT_VERSION,
         "n": params.n,
@@ -55,13 +58,17 @@ def dumps(pool: PoolFile) -> str:
         "liquidity_scale": str(state.liquidity_scale),
         "angle_deg": str(state.angle_deg) if state.angle_deg is not None else None,
         "tick_spacing_deg": str(ledger.grid.spacing_deg),
-        "positions": [
-            {"id": pid, "lower_deg": text[lower], "upper_deg": text[upper],
-             "liquidity": text[liquidity], "side": side}
-            for pid, lower, upper, liquidity, side in ledger.rows
-        ],
+        "positions": [],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    head = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if not ledger.rows:
+        return head
+    # each position as json.dumps(doc, sort_keys=True, indent=2) lays it out
+    layout = ('    {\n      "id": %s,\n      "liquidity": %s,\n      "lower_deg": %s,\n'
+              '      "side": %s,\n      "upper_deg": %s\n    }')
+    body = ",\n".join(layout % (quote(pid), text[liquidity], text[lower], quote(side), text[upper])
+                      for pid, lower, upper, liquidity, side in ledger.rows)
+    return head.replace('"positions": []', '"positions": [\n' + body + "\n  ]", 1)
 
 
 def _json_list(value, key: str) -> list:

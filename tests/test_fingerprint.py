@@ -1,11 +1,14 @@
 """Fingerprint closed forms, the multimodal radius, and the LP payoff."""
 
+import random
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarpool.errors import DomainError, ValidationError
+import polarpool.fingerprint
+from polarpool.errors import DomainError, RangeError, ValidationError
 from polarpool.fingerprint import (
     FingerprintParams,
     fingerprint_ccmm,
@@ -15,7 +18,7 @@ from polarpool.fingerprint import (
     multimodal_radius,
     payoff_fingerprint,
 )
-from polarpool.fixed import FixedDecimal, ONE, PI, TWO, WAD, fp_div, fp_exp, fp_mul
+from polarpool.fixed import FixedDecimal, HALF_PI, ONE, PI, TWO, WAD, fp_div, fp_exp, fp_mul
 from polarpool.invariant import CurveParams, default_offset
 from polarpool.swap import y_of_x
 from reference import to_mp
@@ -155,6 +158,135 @@ class TestMultimodal:
             FingerprintParams(mode="multimodal", alpha_mm=5)
         with pytest.raises(ValidationError):
             FingerprintParams(mode="multimodal", alpha_mm=2)
+
+
+# ln(1e20) rounded down to the grid: e^EDGE is just inside the range, and
+# e^(EDGE + 1 quantum) just past it
+EDGE = 46051701859880913680
+
+
+class TestIntegerCores:
+    """Each sample's core against 60-digit mpmath, on the sum D and the
+    inner value the engine itself formed, and the inputs that overflow."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Each sample's D, multimodal inner value, -3/2 root and last fp_mul
+        operand, recorded as the kernels compute them."""
+        seen = {"d": [], "inner": [], "root": [], "operand": []}
+        fp = polarpool.fingerprint
+        denominator, ln, isqrt, mul = fp._denominator, fp._ln, fp._nearest_isqrt, fp.fp_mul
+
+        def record(key, out):
+            seen[key].append(out)
+            return out
+
+        monkeypatch.setattr(fp, "_denominator", lambda *a: record("d", denominator(*a)))
+        monkeypatch.setattr(fp, "_ln", lambda a: ln(record("inner", a)))
+        monkeypatch.setattr(fp, "_nearest_isqrt", lambda *a: record("root", isqrt(*a)))
+        monkeypatch.setattr(fp, "fp_mul", lambda a, b: mul(a, record("operand", b)))
+        return seen
+
+    @staticmethod
+    def assert_nearest(raw, exact):
+        err = abs(raw - exact * WAD)
+        assert err <= mpmath.mpf("0.500001"), f"{raw}: {mpmath.nstr(err, 8)} quanta off"
+
+    def test_three_halves_power(self, seen):
+        rng = random.Random(30)
+        with mpmath.workdps(60):
+            for _ in range(60):
+                c = F.from_raw(rng.randrange(WAD // 10, 2 * WAD))
+                fingerprint_cemm(FingerprintParams(mode="cemm", c=c),
+                                 F.from_raw(rng.randrange(-12 * WAD, 12 * WAD)))
+                d = mpmath.mpf(seen["d"][-1]) / 10 ** 50
+                self.assert_nearest(seen["root"][-1], d ** mpmath.mpf(-1.5))
+
+    def test_csemm_power(self, seen):
+        rng = random.Random(31)
+        with mpmath.workdps(60):
+            for _ in range(12):
+                alpha = F.from_raw(rng.randrange(3 * WAD, 8 * WAD))
+                p = FingerprintParams(mode="csemm", alpha=alpha,
+                                      s_y=F.from_raw(rng.randrange(WAD // 2, 2 * WAD)))
+                g = mpmath.mpf(p._csemm_terms[2]) / 10 ** 50
+                for _ in range(5):
+                    fingerprint_csemm(p, F.from_raw(rng.randrange(-6 * WAD, 6 * WAD)))
+                    d = mpmath.mpf(seen["d"][-1]) / 10 ** 50
+                    self.assert_nearest(seen["operand"][-1].raw, d ** -g)
+
+    @pytest.mark.parametrize("alpha", [4, 6, 8])
+    def test_multimodal_root(self, seen, alpha):
+        p = FingerprintParams(mode="multimodal", alpha_mm=alpha)
+        with mpmath.workdps(60):
+            for k in range(1, 40):
+                multimodal_radius(p, F.from_raw(HALF_PI.raw * k // 40))
+                inner = mpmath.mpf(seen["inner"][-1]) / 10 ** 50
+                self.assert_nearest(seen["operand"][-1].raw, inner ** (-mpmath.mpf(1) / alpha ** 2))
+
+    @pytest.mark.parametrize("raw, fits", [(EDGE, True), (EDGE + 1, False),
+                                           (-EDGE, True), (-EDGE - 1, False)])
+    def test_range_edge(self, raw, fits):
+        for fn, p in ((fingerprint_ccmm, FingerprintParams()),
+                      (fingerprint_cemm, FingerprintParams(mode="cemm", c=ONE))):
+            if fits:
+                assert fn(p, F.from_raw(raw)).raw == 0
+            else:
+                with pytest.raises(RangeError):
+                    fn(p, F.from_raw(raw))
+
+    def test_weighted_term_overflows(self):
+        # 4 e^45 > 1e20 > 4 e^44: the weighted term alone leaves the range
+        p = FingerprintParams(mode="cemm", c=TWO)
+        assert fingerprint_cemm(p, F(-44)).raw == 0
+        with pytest.raises(RangeError):
+            fingerprint_cemm(p, F(-45))
+        with pytest.raises(RangeError):
+            fingerprint_cemm(p, F.from_raw(-EDGE))
+
+    def test_weight_below_a_quantum(self):
+        # c^2 rounds to 0, so the sum's grid value is e^t rounded: its -3/2
+        # power passes 1e20 below 46415.5 quanta, and at 0 it is undefined
+        p = FingerprintParams(mode="cemm", c=F.from_raw(1))
+        with mpmath.workdps(40):
+            at = [F.from_raw(int(mpmath.log(mpmath.mpf(q) / WAD) * WAD))
+                  for q in ("46415.7", "46415.3")]
+        assert fingerprint_cemm(p, at[0]).raw == 0
+        with pytest.raises(RangeError):
+            fingerprint_cemm(p, at[1])
+        with pytest.raises(DomainError):
+            fingerprint_cemm(p, F(-43))
+
+
+class TestOneExponential:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"_exp": 0, "_ln": 0, "fp_exp": 0, "fp_ln": 0}
+        for name in counts:
+            fn = getattr(polarpool.fingerprint, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(polarpool.fingerprint, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("fn, params, per_sample", [
+        (fingerprint_ccmm, FingerprintParams(), {"_exp": 1, "_ln": 0}),
+        (fingerprint_cemm, FingerprintParams(mode="cemm", c=F("1.3")), {"_exp": 1, "_ln": 0}),
+        # one exponential for e^t and e^-t, and the power D^-g as exp(-g ln D)
+        (fingerprint_csemm, FingerprintParams(mode="csemm", alpha=F(5), s_y=F("1.5")),
+         {"_exp": 2, "_ln": 1}),
+    ])
+    def test_per_sample(self, calls, fn, params, per_sample):
+        grid = t_grid(-5, 5, 21)
+        for t in grid:
+            fn(params, t)
+        want = {name: count * len(grid) for name, count in per_sample.items()}
+        # ln(s_y / s_x) once for the parameter set, not once per sample
+        want.update(fp_exp=0, fp_ln=1 if params.mode == "csemm" else 0)
+        assert calls == want
 
 
 class TestLpPayoff:

@@ -2,6 +2,7 @@
 checks a load runs and the ledger it builds."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -166,13 +167,50 @@ def pool_files(draw) -> PoolFile:
     return PoolFile(params=CurveParams(**kwargs), state=state, ledger=ledger)
 
 
+def document(pool: PoolFile) -> dict:
+    """The pool's document, field by field, for json.dumps to lay out."""
+    params, state, ledger = pool.params, pool.state, pool.ledger
+    return {
+        "format_version": 1, "n": params.n, "mode": params.mode, "l": str(params.l),
+        "alphas": [str(a) for a in params.alphas] if params.alphas else None,
+        "beta": str(params.beta), "c": str(params.c),
+        "reserves": [str(r) for r in state.reserves],
+        "liquidity_scale": str(state.liquidity_scale),
+        "angle_deg": None if state.angle_deg is None else str(state.angle_deg),
+        "tick_spacing_deg": str(ledger.grid.spacing_deg),
+        "positions": [{"id": p.id, "lower_deg": str(p.lower_deg), "upper_deg": str(p.upper_deg),
+                       "liquidity": str(p.liquidity), "side": p.side} for p in ledger.positions],
+    }
+
+
+def json_text(pool: PoolFile) -> str:
+    return json.dumps(document(pool), sort_keys=True, indent=2) + "\n"
+
+
 class TestRoundTrip:
     @given(pool_files())
     @settings(max_examples=200, deadline=None)
     def test_pool_and_text_survive(self, pool):
         text = dumps(pool)
+        assert text == json_text(pool)
         assert loads(text) == pool
         assert dumps(loads(text)) == text
+
+    @pytest.mark.parametrize("seed, count", [(1, 200), (2, 40), (3, 0)])
+    def test_seeded_ladder_text_is_json_dumps(self, seed, count):
+        # ids that JSON escapes: a quote, a backslash, a tab, non-ASCII
+        rng = random.Random(seed)
+        names = ('q"uote', "back\\slash", "tab\t", "na\u00efve", "\u20ac", "\u2603", "r")
+        positions = []
+        for k in range(count):
+            lower = rng.randrange(0, 179)
+            positions.append(LpPosition(f"{rng.choice(names)}{k}", F.from_raw(lower * WAD // 2),
+                                        F.from_raw(rng.randrange(lower + 1, 181) * WAD // 2),
+                                        F.from_raw(rng.randrange(1, 10 * WAD))))
+        pool = PoolFile(params=CurveParams(n=2), state=PoolState(
+            reserves=(ONE, ONE), liquidity_scale=ONE, angle_deg=F(45)),
+            ledger=TickLedger(grid=TickGrid(spacing_deg=F("0.5")), positions=tuple(positions)))
+        assert dumps(pool) == json_text(pool)
 
 
 def plain_pool_doc() -> dict:
