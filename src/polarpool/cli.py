@@ -125,7 +125,7 @@ def _quote_payload(args, quote: SwapQuote, tick_result) -> dict:
         # quote the same amount bit for bit
         payload["route_diff_vs_cartesian"] = str(ZERO)
     if tick_result is not None:
-        payload["segments"] = len(tick_result.segments)
+        payload["segments"] = len(tick_result.fills)
         payload["final_angle_deg"] = str(tick_result.final_angle_deg)
         if args.trace_csv:
             rows = [

@@ -13,19 +13,20 @@ keeps bias from accumulating over long swap sequences. Addition and
 subtraction are exact; multiplication and division round once.
 
 Square roots are exact integer roots, correctly rounded. The other
-transcendentals (pow, ln, exp, sin, cos, atan2) sum integer series
-at a working scale of 10^-50 and round once to the 18-digit grid, so each
-result is the nearest grid point to the exact value unless that value
-lies within about 1e-30 quanta of a rounding boundary. There is no acos
-or asin: the engine forms an angle only from a point's two coordinates,
-with atan2, which returns degrees, converted at the working scale and
-rounded once.
+transcendentals (pow at every exponent, ln, exp, sin, cos, atan2) sum
+integer series at a working scale of 10^-50 and round once to the 18-digit
+grid, so each result is the nearest grid point to the exact value unless
+that value lies within about 1e-30 quanta of a rounding boundary. There is
+no acos or asin: the engine forms an angle only from a point's two
+coordinates, with atan2, which returns degrees, converted at the working
+scale and rounded once.
 
 Code that computes on raw unit counts, such as the tick walk, uses the
 integer cores directly: ``_round_div`` for a product or quotient,
 ``_div`` for a quotient of raws, ``_nearest_isqrt`` for a root of an
-exact radicand or ratio, and ``MAX_RAW`` with ``_range_error`` for the
-overflow a wrap would raise.
+exact radicand or ratio, ``_taylor_sin_cos`` for sin and cos of a
+working-scale angle in [0, pi/4], and ``MAX_RAW`` with ``_range_error``
+for the overflow a wrap would raise.
 They keep their underscores so that span tracers, which wrap public
 functions, leave them alone.
 """
@@ -201,9 +202,6 @@ class FixedDecimal:
 
     def is_zero(self) -> bool:
         return self.raw == 0
-
-    def is_integer(self) -> bool:
-        return self.raw % WAD == 0
 
 
 # The slot's own setter: construction writes ``raw`` past the __setattr__
@@ -391,41 +389,33 @@ def fp_exp(a: FixedDecimal) -> FixedDecimal:
 
 
 def fp_pow(base: FixedDecimal, exponent: FixedDecimal) -> FixedDecimal:
-    """base ** exponent.
+    """base ** exponent for base > 0, and 0 ** exponent for exponent >= 0.
 
-    Integer exponents use repeated squaring on the grid (exact within
-    rounding) and accept any sign of base. Fractional exponents require
-    base > 0 and evaluate exp(exponent * ln(base)) at the working scale,
-    with one final rounding.
+    Every exponent, integer or not, takes exp(exponent * ln(base)) at the
+    working scale with one final rounding; 0 ** 0 is 1.
     """
-    if exponent.is_integer():
-        n = exponent.raw // WAD
-        if n == 0:
-            return ONE
-        if base.raw == 0:
-            if n < 0:
-                raise DomainError("0 raised to a negative power")
-            return ZERO
-        result = ONE
-        acc = base
-        m = abs(n)
-        while m:
-            if m & 1:
-                result = fp_mul(result, acc)
-            m >>= 1
-            if m:
-                acc = fp_mul(acc, acc)
-        return fp_div(ONE, result) if n < 0 else result
     if base.raw < 0:
-        raise DomainError("negative base with fractional exponent")
+        raise DomainError("pow of a negative base")
     if base.raw == 0:
         if exponent.raw < 0:
             raise DomainError("0 raised to a negative power")
-        return ZERO
+        return ONE if exponent.raw == 0 else ZERO
     return _from_scaled(_exp(_scaled(exponent) * _ln(_scaled(base)) // _ONE))
 
 
 # -- trigonometry ---------------------------------------------------------
+
+
+def _taylor_sin_cos(x: int) -> tuple[int, int]:
+    """sin and cos of x / _ONE at scale _ONE, for 0 <= x <= pi/4 * _ONE."""
+    # one Taylor loop over x^k / k!: even powers build cos, odd powers sin
+    parts = [0, 0]
+    term, k = _ONE, 0
+    while term:
+        parts[k & 1] += -term if k & 2 else term
+        k += 1
+        term = term * x // (k * _ONE)
+    return parts[1], parts[0]
 
 
 def _sin_cos(a: FixedDecimal) -> tuple[int, int]:
@@ -435,15 +425,7 @@ def _sin_cos(a: FixedDecimal) -> tuple[int, int]:
     twice = a.raw * 2 * 10 ** (_PI_DIGITS - DECIMALS)
     n = _round_div(twice, _PI_RAW)
     r = _round_div(twice - n * _PI_RAW, 2 * 10 ** (_PI_DIGITS - _DIGITS))
-    # one Taylor loop over |r|^k / k!: even powers build cos, odd powers sin
-    x = abs(r)
-    parts = [0, 0]
-    term, k = _ONE, 0
-    while term:
-        parts[k & 1] += -term if k & 2 else term
-        k += 1
-        term = term * x // (k * _ONE)
-    c, s = parts
+    s, c = _taylor_sin_cos(abs(r))
     if r < 0:
         s = -s
     quadrant = n & 3

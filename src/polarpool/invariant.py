@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from math import isqrt
 
 from .errors import DomainError, NumericError, ShapeError, ValidationError
 from .fixed import (
@@ -37,7 +38,6 @@ from .fixed import (
     fp_ln,
     fp_mul,
     fp_pow,
-    fp_sqrt,
     fp_sub,
 )
 
@@ -224,26 +224,28 @@ def solve_ccmm_scale(params: CurveParams, reserves) -> FixedDecimal:
     """Liquidity scale putting the given reserves on the circular curve.
 
     Solves (n-1) B^2 - 2 (sum x) B + sum x^2 = 0 for B = l*s, taking the
-    root with every reserve inside the trading region (x_i <= B).
+    root with every reserve inside the trading region (x_i <= B). The sums
+    and the region test are exact integers, and s = B / l rounds once.
     """
     reserves = tuple(reserves)
     if len(reserves) != params.n:
         raise ShapeError(f"expected {params.n} reserves, got {len(reserves)}")
     if any(r <= ZERO for r in reserves):
         raise ValidationError("on-curve construction needs positive reserves")
-    s1 = ZERO
-    s2 = ZERO
-    for x in reserves:
-        s1 = fp_add(s1, x)
-        s2 = fp_add(s2, fp_mul(x, x))
-    nm1 = F(params.n - 1)
-    radicand = fp_sub(fp_mul(s1, s1), fp_mul(nm1, s2))
-    if radicand < ZERO:
+    raws = [x.raw for x in reserves]
+    s1, nm1 = sum(raws), params.n - 1
+    radicand = s1 * s1 - nm1 * sum(x * x for x in raws)
+    if radicand < 0:
         raise ValidationError("no circle through these reserves")
-    b = fp_div(fp_add(s1, fp_sqrt(radicand)), nm1)
-    if any(x > b for x in reserves):
+    # x > B exactly when nm1 x > s1 + isqrt(radicand): every term but the
+    # root is an integer
+    root = isqrt(radicand)
+    if any(nm1 * x > s1 + root for x in raws):
         raise ValidationError("reserves leave the trading region")
-    return fp_div(b, params.l)
+    # floor((a + r) / d) = floor((a + floor r) / d) for integers a and d > 0,
+    # so this is (s1 + sqrt(radicand)) / (nm1 l) rounded once, to nearest
+    d = nm1 * params.l.raw
+    return F.from_raw((2 * s1 * WAD + d + isqrt(4 * radicand * WAD * WAD)) // (2 * d))
 
 
 def _bisect_scale(residual_at, lo: FixedDecimal) -> FixedDecimal:

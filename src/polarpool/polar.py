@@ -13,12 +13,13 @@ agrees with the arc at the anchors (price 1 at 45 degrees, price 0 at 90)
 and is inverted by price = 90 / phi - 1.
 
 Degrees are the public angle unit; radians appear only inside the
-trigonometric calls. An angle and an arc point are two labels of one
-place, and each direction has one conversion: :func:`arc_cos_sin` from an
-angle to the unit point (cos phi, sin phi), and :func:`point_angle` from a
-point R (cos phi, sin phi) back to the angle, correctly rounded. Trades
-form no angle: the tick walk finds a point's segment by comparing its
-cosine with the boundaries', and degrees are formed only for output.
+trigonometric calls, at the working scale of ``fixed``. An angle and an
+arc point are two labels of one place, and each direction has one
+conversion, correctly rounded: :func:`arc_cos_sin` from an angle to the
+unit point (cos phi, sin phi), and :func:`point_angle` from a point
+R (cos phi, sin phi) back to the angle. Trades form no angle: the tick
+walk finds a point's segment by comparing its cosine with the
+boundaries', and degrees are formed only for output.
 
 This module trades nothing. The polar route's rotation that adds
 ``delta`` to the in-reserve ends where the pair circle meets the new
@@ -38,7 +39,13 @@ from .fixed import (
     PI,
     WAD,
     ZERO,
+    _DIGITS,
+    _PI_DIGITS,
+    _PI_RAW,
+    _from_scaled,
     _nearest_isqrt,
+    _round_div,
+    _taylor_sin_cos,
     fp_add,
     fp_atan2,
     fp_div,
@@ -53,27 +60,22 @@ from .invariant import CurveParams, ON_CURVE_TOLERANCE
 F = FixedDecimal
 
 NINETY = F(90)
-_HALF_ROOT = F.from_raw(_nearest_isqrt(WAD * WAD, 2))
 
 
 def arc_cos_sin(angle_deg: FixedDecimal) -> tuple[FixedDecimal, FixedDecimal]:
-    """(cos, sin) of an arc angle in degrees, in [0, 90].
+    """(cos, sin) of an arc angle in degrees, in [0, 90], correctly rounded.
 
-    Sine and cosine are evaluated only at angles below 45 degrees; an
-    angle b above reads the pair of 90 - b swapped, so the pairs of b and
-    90 - b mirror each other bit for bit, and the arc ends are the exact
-    (1, 0) and (0, 1). At 45 both are sqrt(1/2), correctly rounded.
+    The radians are formed at the working scale from pi's 110 digits with
+    one rounding, and cos and sin each round once, so the arc ends are the
+    exact (1, 0) and (0, 1) and 45 gives sqrt(1/2) twice. An angle b above
+    45 reads the pair of 90 - b swapped, which halves a table's evaluations.
     """
     if 2 * angle_deg.raw > NINETY.raw:
         cos_m, sin_m = arc_cos_sin(fp_sub(NINETY, angle_deg))
         return sin_m, cos_m
-    if 2 * angle_deg.raw == NINETY.raw:
-        return _HALF_ROOT, _HALF_ROOT
-    if angle_deg.is_zero():
-        return ONE, ZERO
-    # pi / 180 rounded to the grid would carry its rounding times the angle
-    sin_a, cos_a = fp_sin_cos(fp_div(fp_mul(angle_deg, PI), F(180)))
-    return cos_a, sin_a
+    sin_a, cos_a = _taylor_sin_cos(_round_div(
+        angle_deg.raw * _PI_RAW, 180 * WAD * 10 ** (_PI_DIGITS - _DIGITS)))
+    return _from_scaled(cos_a), _from_scaled(sin_a)
 
 
 @lru_cache(maxsize=None)
@@ -97,8 +99,6 @@ def point_angle(x: FixedDecimal, y: FixedDecimal) -> FixedDecimal:
     The inverse of :func:`arc_cos_sin`, correctly rounded; a point with
     x = 0 is exactly at 90.
     """
-    if x.is_zero():
-        return NINETY
     return fp_atan2(y, x)
 
 

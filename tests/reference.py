@@ -23,6 +23,13 @@ def to_mp(x):
     return mpmath.mpf(x.raw) / WAD
 
 
+def assert_correctly_rounded(got, exact):
+    """``got`` is the grid point nearest ``exact``: within 0.5 quanta, plus
+    1e-6 quanta for the reference's own error."""
+    err = abs(mpmath.mpf(got.raw) - exact * WAD)
+    assert err <= mpmath.mpf("0.500001"), f"{got}: {mpmath.nstr(err, 8)} quanta off"
+
+
 # raws of every length from lo to hi digits: log-uniform magnitudes, where
 # plain st.integers favours small ones
 def spread_raws(lo: int, hi: int):

@@ -1,6 +1,7 @@
 """Invariant evaluation against closed forms and a 40-digit oracle."""
 
 from fractions import Fraction
+import random
 
 import mpmath
 import pytest
@@ -28,7 +29,7 @@ from polarpool.invariant import (
 from polarpool.poolfile import PoolFile, dumps, loads
 from polarpool.swap import y_of_x
 from polarpool.ticks import TickLedger
-from reference import spread_raws, to_mp
+from reference import assert_correctly_rounded, spread_raws, to_mp
 
 F = FixedDecimal
 L = default_offset()
@@ -217,6 +218,26 @@ class TestScaleSolving:
         p = CurveParams(n=2)
         s = solve_ccmm_scale(p, (ONE, ONE))
         assert s == ONE
+
+    def test_scale_is_the_exact_root(self):
+        # the scale rounds once, so it is the grid point nearest the exact
+        # root, where squares rounded to the grid put it up to 1.3e5 quanta off
+        rng = random.Random(16)
+        checked = 0
+        with mpmath.workdps(60):
+            for _ in range(300):
+                n, k = rng.choice((2, 3, 4)), rng.randrange(-6, 10)
+                reserves = tuple(F.from_raw(rng.randrange(5 * 10 ** (17 + k), 15 * 10 ** (17 + k)))
+                                 for _ in range(n))
+                xs = [to_mp(x) for x in reserves]
+                radicand = sum(xs) ** 2 - (n - 1) * sum(x * x for x in xs)
+                if radicand < 0 or max(xs) > (sum(xs) + mpmath.sqrt(radicand)) / (n - 1):
+                    continue
+                p = CurveParams(n=n)
+                exact = (sum(xs) + mpmath.sqrt(radicand)) / (n - 1) / to_mp(p.l)
+                assert_correctly_rounded(solve_ccmm_scale(p, reserves), exact)
+                checked += 1
+        assert checked >= 250
 
     def test_n3_equal_reserves_on_curve(self):
         p = CurveParams(n=3)

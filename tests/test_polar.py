@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarpool.errors import DomainError, InsufficientLiquidityError, RangeError
+from polarpool.errors import DomainError, InsufficientLiquidityError
 from polarpool.fixed import FixedDecimal, ONE, WAD, ZERO, _nearest_isqrt, fp_mul, fp_sub
 from polarpool.invariant import CurveParams, PoolState, ccmm_residual, solve_ccmm_scale
 from polarpool.polar import (
@@ -26,7 +26,7 @@ from polarpool.polar import (
 )
 from polarpool.swap import commit, pair_swap, y_of_x
 from polarpool.ticks import LpPosition, TickLedger, add_position, route_swap
-from reference import circle_step_within, spread_raws, to_mp
+from reference import assert_correctly_rounded, circle_step_within, spread_raws, to_mp
 
 F = FixedDecimal
 CIRCLE = CurveParams(n=2)
@@ -127,12 +127,7 @@ class TestCircleRule:
         # reserves 10^k * U[0.5, 1.5], as init puts them on the circle
         params = CurveParams(n=n)
         reserves = tuple(F.from_raw(u * 10 ** (k + 9)) for u in units[:n])
-        try:
-            scale = solve_ccmm_scale(params, reserves)
-        except RangeError:
-            # the solver squares the reserves' sum, past the 1e20 range
-            assert k >= 10
-            return
+        scale = solve_ccmm_scale(params, reserves)
         angle = cartesian_to_polar(params, *reserves, scale) if n == 2 else None
         state = PoolState(reserves, liquidity_scale=scale, angle_deg=angle)
         ledger = add_position(TickLedger(), LpPosition("base", ZERO, NINETY, scale))
@@ -192,15 +187,19 @@ class TestArcPoints:
         assert boundary_cos_sin(NINETY.raw) == (ZERO, ONE)
 
     def test_boundary_table_mirrors_bit_for_bit(self):
-        # the pair of 90 - b is the pair of b swapped on every boundary of a
-        # 0.5-degree grid, 45 included, and at random raws; 45 holds sqrt(1/2)
-        # correctly rounded in both places
+        # on every boundary of a 0.5-degree grid, 45 included, and at random
+        # raws, each entry is correctly rounded, so the pair of 90 - b is the
+        # pair of b swapped and 45 holds sqrt(1/2) twice
         rng = random.Random(45)
         raws = [k * WAD // 2 for k in range(181)] + [rng.randrange(NINETY.raw + 1)
                                                      for _ in range(100)]
-        for raw in raws:
-            cos_b, sin_b = boundary_cos_sin(raw)
-            assert boundary_cos_sin(NINETY.raw - raw) == (sin_b, cos_b)
+        with mpmath.workdps(60):
+            for raw in raws:
+                cos_b, sin_b = boundary_cos_sin(raw)
+                assert boundary_cos_sin(NINETY.raw - raw) == (sin_b, cos_b)
+                radians = mpmath.radians(mpmath.mpf(raw) / WAD)
+                assert_correctly_rounded(cos_b, mpmath.cos(radians))
+                assert_correctly_rounded(sin_b, mpmath.sin(radians))
         assert boundary_cos_sin(45 * WAD) == (F("0.707106781186547524"),) * 2
 
     @given(st.integers(0, 90 * WAD))

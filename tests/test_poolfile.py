@@ -49,7 +49,7 @@ HEDGED_POOL_TEXT = """\
     },
     {
       "id": "hedge:0.8:1:short",
-      "liquidity": "0.507376729204666675",
+      "liquidity": "0.507376729204666631",
       "lower_deg": "49",
       "side": "short",
       "upper_deg": "50"
